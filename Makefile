@@ -31,16 +31,20 @@ lint:
 	$(GO) run ./cmd/cachelint ./...
 
 # verify: static checks (vet + cachelint), a full build, the test suite
-# under the race detector, and a short fuzz smoke over the trace-file
-# reader.
+# under the race detector, and short fuzz smokes over the trace-file
+# reader and the three engines' agreement (FuzzEngines: screening equals
+# exact, functional warming equals a full replay, on random L1
+# geometries, write policies and synthetic traces).
 verify: lint
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=10s ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzEngines -fuzztime=10s ./internal/stackdist
 
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=5m ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzEngines -fuzztime=5m ./internal/stackdist
 
 # chaos: the fault-injection and durability suite under the race
 # detector — torn-write/corruption recovery in the store, the

@@ -18,8 +18,8 @@ const (
 )
 
 // cache is a set-associative cache array with per-line flags and
-// subblock valid masks. It is a mechanism only; the write-policy and
-// timing decisions live in System.
+// subblock valid masks. It is a mechanism only; the write policy lives
+// in L1 and the timing in System.
 type cache struct {
 	geom     CacheGeom
 	sets     uint64
@@ -155,18 +155,21 @@ func (c *cache) insert(line uint64, flags uint8, mask uint32) evicted {
 // invalidate drops line if present.
 func (c *cache) invalidate(line uint64) {
 	if slot := c.find(line); slot >= 0 {
-		c.tags[slot] = tagInvalid
-		c.flags[slot] = 0
-		c.masks[slot] = 0
+		c.clear(slot)
 	}
+}
+
+// clear empties slot.
+func (c *cache) clear(slot int) {
+	c.tags[slot] = tagInvalid
+	c.flags[slot] = 0
+	c.masks[slot] = 0
 }
 
 // flush invalidates every line.
 func (c *cache) flush() {
 	for i := range c.tags {
-		c.tags[i] = tagInvalid
-		c.flags[i] = 0
-		c.masks[i] = 0
+		c.clear(i)
 	}
 }
 

@@ -138,17 +138,27 @@ type CacheGeom struct {
 // Bytes returns the capacity in bytes.
 func (g CacheGeom) Bytes() int { return g.SizeWords * trace.WordBytes }
 
-// validate reports whether the geometry is implementable.
-func (g CacheGeom) validate(name string) error {
+// Validate reports whether the geometry is implementable: positive
+// dimensions, a whole number of lines per way, and power-of-two line
+// length and set count.
+func (g CacheGeom) Validate() error {
 	switch {
 	case g.SizeWords <= 0 || g.LineWords <= 0 || g.Ways <= 0:
-		return fmt.Errorf("core: %s: nonpositive geometry %+v", name, g)
+		return fmt.Errorf("nonpositive geometry %+v", g)
 	case g.SizeWords%(g.LineWords*g.Ways) != 0:
-		return fmt.Errorf("core: %s: size %dW not divisible by line %dW x ways %d", name, g.SizeWords, g.LineWords, g.Ways)
+		return fmt.Errorf("size %dW not divisible by line %dW x ways %d", g.SizeWords, g.LineWords, g.Ways)
 	case !powerOfTwo(g.LineWords):
-		return fmt.Errorf("core: %s: line %dW not a power of two", name, g.LineWords)
+		return fmt.Errorf("line %dW not a power of two", g.LineWords)
 	case !powerOfTwo(g.SizeWords / (g.LineWords * g.Ways)):
-		return fmt.Errorf("core: %s: set count %d not a power of two", name, g.SizeWords/(g.LineWords*g.Ways))
+		return fmt.Errorf("set count %d not a power of two", g.SizeWords/(g.LineWords*g.Ways))
+	}
+	return nil
+}
+
+// validate is Validate with the array named in the error.
+func (g CacheGeom) validate(name string) error {
+	if err := g.Validate(); err != nil {
+		return fmt.Errorf("core: %s: %w", name, err)
 	}
 	return nil
 }
@@ -278,14 +288,8 @@ func SplitBank(u L2Bank) (i, d L2Bank) {
 
 // Validate checks the configuration for implementability.
 func (c *Config) Validate() error {
-	if err := c.L1I.validate("L1-I"); err != nil {
+	if err := c.validateL1(); err != nil {
 		return err
-	}
-	if err := c.L1D.validate("L1-D"); err != nil {
-		return err
-	}
-	if c.l1iFetch()%c.L1I.LineWords != 0 || c.l1dFetch()%c.L1D.LineWords != 0 {
-		return fmt.Errorf("core: fetch size must be a multiple of the line size")
 	}
 	if c.WBEntries <= 0 || c.WBEntryWords <= 0 {
 		return fmt.Errorf("core: bad write buffer shape %dx%dW", c.WBEntries, c.WBEntryWords)
@@ -329,6 +333,20 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+// validateL1 checks the part of the configuration NewL1 builds from.
+func (c *Config) validateL1() error {
+	if err := c.L1I.validate("L1-I"); err != nil {
+		return err
+	}
+	if err := c.L1D.validate("L1-D"); err != nil {
+		return err
+	}
+	if c.l1iFetch()%c.L1I.LineWords != 0 || c.l1dFetch()%c.L1D.LineWords != 0 {
+		return fmt.Errorf("core: fetch size must be a multiple of the line size")
+	}
+	return nil
+}
+
 // l1iFetch and l1dFetch apply the fetch-size defaults.
 func (c *Config) l1iFetch() int {
 	if c.L1IFetch == 0 {
@@ -343,6 +361,3 @@ func (c *Config) l1dFetch() int {
 	}
 	return c.L1DFetch
 }
-
-// writeThrough reports whether the policy sends every store to L2.
-func (c *Config) writeThrough() bool { return c.WritePolicy != WriteBack }

@@ -21,10 +21,10 @@ func (s *System) CheckInvariants() error {
 	if err := s.checkWriteBuffer(); err != nil {
 		return err
 	}
-	if err := s.checkCache("l1i", s.l1i, roleL1I); err != nil {
+	if err := s.checkCache("l1i", &s.l1.i, roleL1I); err != nil {
 		return err
 	}
-	if err := s.checkCache("l1d", s.l1d, roleL1D); err != nil {
+	if err := s.checkCache("l1d", &s.l1.d, roleL1D); err != nil {
 		return err
 	}
 	if s.cfg.L2Split {

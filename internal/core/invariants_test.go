@@ -55,8 +55,8 @@ func TestCorruptedDirtyBitCaught(t *testing.T) {
 	s := newSys(t, writeThroughConfig(WriteMissInvalidate, LPSNone))
 	s.load(pid, 0x1000)
 	slot := residentL1DSlot(t, s)
-	s.l1d.flags[slot] |= flagDirty
-	lineAddr := s.l1d.tags[slot] << s.l1d.offBits
+	s.l1.d.flags[slot] |= flagDirty
+	lineAddr := s.l1.d.tags[slot] << s.l1.d.offBits
 
 	err := s.CheckInvariants()
 	if err == nil {
@@ -83,7 +83,7 @@ func TestCorruptedDirtyBitCaught(t *testing.T) {
 // residentL1DSlot returns the slot of the single valid L1-D line.
 func residentL1DSlot(t *testing.T, s *System) int {
 	t.Helper()
-	for slot, tag := range s.l1d.tags {
+	for slot, tag := range s.l1.d.tags {
 		if tag != tagInvalid {
 			return slot
 		}
@@ -104,7 +104,7 @@ func TestSelfCheckGatesStep(t *testing.T) {
 		t.Fatalf("clean step failed a self-check: %v", err)
 	}
 
-	s.l1d.flags[residentL1DSlot(t, s)] |= flagDirty
+	s.l1.d.flags[residentL1DSlot(t, s)] |= flagDirty
 
 	ev = trace.Event{PC: 0x1004}
 	err := s.Step(pid, &ev)
@@ -131,7 +131,7 @@ func TestSelfCheckGatesStep(t *testing.T) {
 func TestSelfCheckDisabledByDefault(t *testing.T) {
 	s := newSys(t, writeThroughConfig(WriteMissInvalidate, LPSNone))
 	s.load(pid, 0x1000)
-	s.l1d.flags[residentL1DSlot(t, s)] |= flagDirty
+	s.l1.d.flags[residentL1DSlot(t, s)] |= flagDirty
 	ev := trace.Event{PC: 0x1004}
 	if err := s.Step(pid, &ev); err != nil {
 		t.Fatalf("Step with SelfCheck=0 returned %v", err)

@@ -22,12 +22,9 @@ type System struct {
 	cfg Config
 	mmu *mmu.MMU
 
-	l1i, l1d *cache
+	l1       L1
 	l2i, l2d *l2bank // aliases of the same bank when unified
 	wb       *writeBuffer
-
-	l1iFetchBytes uint64
-	l1dFetchBytes uint64
 
 	now          uint64
 	memBusyUntil uint64 // main-memory occupancy from dirty-buffer drains
@@ -47,12 +44,9 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{
-		cfg:           cfg,
-		mmu:           m,
-		l1i:           newCache(cfg.L1I),
-		l1d:           newCache(cfg.L1D),
-		l1iFetchBytes: uint64(cfg.l1iFetch() * trace.WordBytes),
-		l1dFetchBytes: uint64(cfg.l1dFetch() * trace.WordBytes),
+		cfg: cfg,
+		mmu: m,
+		l1:  newL1(&cfg),
 	}
 	if cfg.L2Split {
 		s.l2i = &l2bank{c: newCache(cfg.L2I.Geom), timing: cfg.L2I.Timing}
@@ -232,82 +226,55 @@ func (s *System) fetchInstruction(pid mmu.PID, vaddr uint32) {
 		s.stallFor(CauseTLB, uint64(s.cfg.TLBMissPenalty))
 	}
 	s.stats.L1IAccesses++
-	line := s.l1i.lineAddr(paddr)
-	if slot := s.l1i.find(line); slot >= 0 && s.l1i.flags[slot]&flagValid != 0 {
-		s.l1i.touch(slot)
+	o := s.l1.Fetch(paddr)
+	if o == nil {
 		return
 	}
 	s.stats.L1IMisses++
 	if s.cfg.IMissWaitsForWB {
 		s.waitWBEmpty()
 	}
-	s.refill(s.l1i, s.l2i, paddr, s.l1iFetchBytes, true)
+	s.refill(o, s.l2i, s.cfg.l1iFetch(), true)
 }
 
-// refill fetches the aligned fetch block containing paddr from the given
-// L2 bank into l1, charging refill cycles to the L1 miss cause and
-// memory penalties to the L2 miss cause for the side.
-func (s *System) refill(l1 *cache, bank *l2bank, paddr, fetchBytes uint64, instrSide bool) {
+// refill charges an L1 refill of fetch words from the given L2 bank:
+// the evictions first, so that any write-back or flush they trigger
+// lands its writes in L2 ahead of the read, then the L2 read, whose
+// refill cycles go to the side's L1 miss cause and whose memory
+// penalties go to its L2 miss cause.
+func (s *System) refill(o *L1Outcome, bank *l2bank, words int, instrSide bool) {
 	missCause, memCause := CauseL1DMiss, CauseL2DMiss
 	if instrSide {
 		missCause, memCause = CauseL1IMiss, CauseL2IMiss
 	}
-	block := paddr &^ (fetchBytes - 1)
-
-	// Evictions are handled before the L2 read so that any flush the
-	// replacement triggers lands its writes in L2 first.
-	lineBytes := uint64(l1.geom.LineWords * trace.WordBytes)
-	for off := uint64(0); off < fetchBytes; off += lineBytes {
-		s.evictFor(l1, l1.lineAddr(block+off), instrSide)
-	}
-
-	refillCycles, memCycles := s.l2Read(bank, block, int(fetchBytes)/trace.WordBytes, instrSide)
+	s.evict(o)
+	refillCycles, memCycles := s.l2Read(bank, o.Block, words, instrSide)
 	s.stallFor(missCause, refillCycles)
 	s.stallFor(memCause, memCycles)
-
-	for off := uint64(0); off < fetchBytes; off += lineBytes {
-		l1.insert(l1.lineAddr(block+off), flagValid, l1.fullMask)
-	}
 }
 
-// evictFor prepares to displace whatever occupies line's victim slot in
-// l1: write-back dirty victims enter the write buffer; under the
-// dirty-bit loads-pass-stores scheme, replacing a dirty line flushes the
-// write buffer to keep L2-D consistent without associative matching.
-func (s *System) evictFor(l1 *cache, line uint64, instrSide bool) {
-	if instrSide {
-		return // instruction lines are never dirty
+// evict charges the L1-D evictions of an access: write-back victims
+// enter the write buffer; under the dirty-bit loads-pass-stores scheme,
+// replacing a dirty line flushes the write buffer.
+func (s *System) evict(o *L1Outcome) {
+	lineBytes := uint64(s.cfg.L1D.LineWords * trace.WordBytes)
+	for _, addr := range o.WriteBacks {
+		s.enqueueWrite(addr, lineBytes)
 	}
-	slot := l1.find(line)
-	if slot < 0 {
-		slot = l1.victimSlot(line)
-	}
-	if l1.tags[slot] == tagInvalid || l1.flags[slot]&flagDirty == 0 {
+	if o.Flushes == 0 {
 		return
 	}
-	victimLine := l1.tags[slot]
-	if s.cfg.WritePolicy == WriteBack {
-		lineBytes := uint64(l1.geom.LineWords * trace.WordBytes)
-		s.enqueueWrite(victimLine<<l1.offBits, lineBytes)
-		// The line has been handed to the buffer; clear dirtiness so a
-		// repeated eviction pass cannot double-write it.
-		l1.flags[slot] &^= flagDirty
-		return
-	}
-	if s.cfg.LoadsPassStores == LPSDirtyBit {
-		// The replaced dirty line may have writes still in the buffer.
-		// The buffer drains in the background; only fetches ordered
-		// after this point must wait for it (the flush barrier) — with
-		// one exception: a read that reallocates this very line (a
-		// write-only line being read) must see its writes in L2 first,
-		// so it waits for the whole drain now.
-		s.stats.WBFlushes++
-		if l1.tags[slot] == line {
-			s.waitWBEmpty()
-		} else {
-			s.flushBarrier = s.wb.emptyCompletion(s.now)
-		}
-		l1.flags[slot] &^= flagDirty
+	// The replaced dirty line may have writes still in the buffer. The
+	// buffer drains in the background; only fetches ordered after this
+	// point must wait for it (the flush barrier) — with one exception:
+	// a read that reallocates this very line (a write-only line being
+	// read) must see its writes in L2 first, so it waits for the whole
+	// drain now.
+	s.stats.WBFlushes += uint64(o.Flushes)
+	if o.FlushSelf {
+		s.waitWBEmpty()
+	} else {
+		s.flushBarrier = s.wb.emptyCompletion(s.now)
 	}
 }
 
@@ -343,25 +310,21 @@ func (s *System) load(pid mmu.PID, vaddr uint32) {
 		s.stallFor(CauseTLB, uint64(s.cfg.TLBMissPenalty))
 	}
 	s.stats.L1DReads++
-	line := s.l1d.lineAddr(paddr)
-	if slot := s.l1d.find(line); slot >= 0 {
-		f := s.l1d.flags[slot]
-		switch {
-		case f&flagWriteOnly != 0:
-			// Write-only lines service writes, not reads: miss and
-			// reallocate (Section 6).
-			s.stats.WriteOnlyReadMisses++
-		case s.cfg.WritePolicy == Subblock && s.l1d.masks[slot]&(1<<s.l1d.wordOf(paddr)) == 0:
-			// Tag matches but this word was never validated.
-			s.stats.SubblockWordMisses++
-		case f&flagValid != 0:
-			s.l1d.touch(slot)
-			return
-		}
+	o := s.l1.Load(paddr)
+	if o == nil {
+		return
+	}
+	switch o.Miss {
+	case L1WriteOnlyReadMiss:
+		s.stats.WriteOnlyReadMisses++
+	case L1SubblockWordMiss:
+		s.stats.SubblockWordMisses++
+	default:
+		// A plain read miss.
 	}
 	s.stats.L1DReadMisses++
 	s.beforeDataMissFetch(paddr)
-	s.refill(s.l1d, s.l2d, paddr, s.l1dFetchBytes, false)
+	s.refill(o, s.l2d, s.cfg.l1dFetch(), false)
 }
 
 // beforeDataMissFetch applies the configured loads-pass-stores scheme
@@ -371,7 +334,7 @@ func (s *System) beforeDataMissFetch(paddr uint64) {
 	case LPSNone:
 		s.waitWBEmpty()
 	case LPSAssociative:
-		if t, ok := s.wb.matchCompletion(paddr, s.l1d.offBits); ok {
+		if t, ok := s.wb.matchCompletion(paddr, s.l1.d.offBits); ok {
 			s.stats.WBFlushes++
 			s.stallUntil(CauseWB, t)
 			s.wb.popCompleted(s.now)
@@ -393,83 +356,31 @@ func (s *System) store(pid mmu.PID, vaddr uint32, size uint8) {
 		s.stallFor(CauseTLB, uint64(s.cfg.TLBMissPenalty))
 	}
 	s.stats.L1DWrites++
-	if s.cfg.writeThrough() {
-		s.enqueueWrite(paddr&^3, uint64(trace.WordBytes)) // one word-wide entry
+	o := s.l1.Store(paddr, size)
+	if o == nil {
+		// A hit that sends nothing to L2 is a write-back hit, which
+		// takes two cycles: tag check before commit.
+		s.stallFor(CauseL1Write, 1)
+		return
 	}
-	line := s.l1d.lineAddr(paddr)
-	slot := s.l1d.find(line)
-
-	switch s.cfg.WritePolicy {
-	case WriteBack:
-		if slot >= 0 && s.l1d.flags[slot]&flagValid != 0 {
-			// Two-cycle write hit: tag check before commit.
-			s.stallFor(CauseL1Write, 1)
-			s.l1d.flags[slot] |= flagDirty
-			s.l1d.touch(slot)
-			return
-		}
-		// One-cycle write miss, then write-allocate.
-		s.stats.L1DWriteMisses++
+	if o.WriteThrough {
+		s.enqueueWrite(o.Word, uint64(trace.WordBytes)) // one word-wide entry
+	}
+	if o.Miss == L1Hit {
+		// A write-through hit writes the data while the tag checks.
+		return
+	}
+	s.stats.L1DWriteMisses++
+	if o.Refill() {
+		// One-cycle write-back miss, then write-allocate.
 		s.waitWBEmpty()
-		s.refill(s.l1d, s.l2d, paddr, s.l1dFetchBytes, false)
-		if slot = s.l1d.find(line); slot >= 0 {
-			s.l1d.flags[slot] |= flagDirty
-		}
-
-	case WriteMissInvalidate:
-		if slot >= 0 && s.l1d.flags[slot]&flagValid != 0 {
-			// One-cycle write hit: data written while the tag checks.
-			s.l1d.touch(slot)
-			return
-		}
-		// The write corrupted whatever the index selected; spend a
-		// second cycle invalidating it.
-		s.stats.L1DWriteMisses++
-		s.stallFor(CauseL1Write, 1)
-		victim := s.l1d.victimSlot(line)
-		if s.l1d.tags[victim] != tagInvalid {
-			s.l1d.tags[victim] = tagInvalid
-			s.l1d.flags[victim] = 0
-			s.l1d.masks[victim] = 0
-		}
-
-	case WriteOnly:
-		if slot >= 0 && s.l1d.flags[slot]&(flagValid|flagWriteOnly) != 0 {
-			// One cycle; the line accumulates the dirty bit used by the
-			// flush-on-replacement scheme.
-			s.l1d.flags[slot] |= flagDirty
-			s.l1d.touch(slot)
-			return
-		}
-		// Write miss: second cycle updates the tag and marks the line
-		// write-only so subsequent writes hit.
-		s.stats.L1DWriteMisses++
-		s.stallFor(CauseL1Write, 1)
-		s.evictFor(s.l1d, line, false)
-		s.l1d.insert(line, flagWriteOnly|flagDirty, 0)
-
-	case Subblock:
-		fullWord := size >= trace.WordBytes && paddr&3 == 0
-		if slot >= 0 && s.l1d.flags[slot]&flagValid != 0 {
-			// One-cycle write; full-word writes validate their word.
-			if fullWord {
-				s.l1d.masks[slot] |= 1 << s.l1d.wordOf(paddr)
-			}
-			s.l1d.flags[slot] |= flagDirty
-			s.l1d.touch(slot)
-			return
-		}
-		// Write miss: second cycle installs the tag; only a full-word
-		// write validates its word, partial writes validate nothing.
-		s.stats.L1DWriteMisses++
-		s.stallFor(CauseL1Write, 1)
-		s.evictFor(s.l1d, line, false)
-		var mask uint32
-		if fullWord {
-			mask = 1 << s.l1d.wordOf(paddr)
-		}
-		s.l1d.insert(line, flagValid|flagDirty, mask)
+		s.refill(o, s.l2d, s.cfg.l1dFetch(), false)
+		return
 	}
+	// Write-through miss: a second cycle invalidates the corrupted line
+	// or installs the new tag.
+	s.stallFor(CauseL1Write, 1)
+	s.evict(o)
 }
 
 // l2Read performs an L1 refill read of `words` at block from bank,

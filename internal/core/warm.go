@@ -11,17 +11,16 @@ import (
 // interval depends on — L1/L2 tag and replacement state, line flags and
 // subblock masks, TLB contents — without any cycle accounting: no
 // clock, no stall attribution, no Stats counters, no write-buffer
-// timing. Each warm helper mirrors its cycle-accurate sibling
-// (fetchInstruction/load/store/refill/l2Read/wbService) with the timing
-// stripped out; keep the pairs in sync when the exact model changes.
+// timing. The L1 transition is the exact engine's own (the shared L1
+// model); warming only applies each outcome's L2 traffic functionally.
 //
 // One ordering rule is inherited from the write buffer: a write-back
 // victim's L2 probe happens in FIFO order *after* the refill read that
 // displaced it (the exact engine enqueues the victim, reads L2, and
-// drains the buffer afterwards). warmRefill therefore collects victims
-// first but applies their L2 writes after the read. Write-through
-// stores have no such reordering window that the exact engine's
-// wait-for-empty rules would preserve, so they probe L2 immediately.
+// drains the buffer afterwards), so warmTraffic applies victims after
+// the read. Write-through stores have no such reordering window that the
+// exact engine's wait-for-empty rules would preserve, so they probe L2
+// immediately.
 
 // WarmBatch functionally executes events of process pid and returns how
 // many were consumed. Like StepBatch it stops early, after the event,
@@ -38,12 +37,12 @@ func (s *System) WarmBatch(pid mmu.PID, evs []trace.Event) (int, error) {
 	}
 	for i := range evs {
 		ev := &evs[i]
-		s.warmFetch(pid, ev.PC)
+		s.warmL2(s.l1.Fetch(s.mmu.TranslateWarmI(pid, ev.PC)), s.l2i)
 		switch ev.Kind {
 		case trace.Load:
-			s.warmLoad(pid, ev.Data)
+			s.warmL2(s.l1.Load(s.mmu.TranslateWarmD(pid, ev.Data)), s.l2d)
 		case trace.Store:
-			s.warmStore(pid, ev.Data, ev.Size)
+			s.warmL2(s.l1.Store(s.mmu.TranslateWarmD(pid, ev.Data), ev.Size), s.l2d)
 		case trace.None:
 			// No data reference; the fetch above was the only access.
 		}
@@ -54,153 +53,29 @@ func (s *System) WarmBatch(pid mmu.PID, evs []trace.Event) (int, error) {
 	return len(evs), nil
 }
 
-// warmFetch mirrors fetchInstruction: TLB, L1-I probe, refill on miss.
-func (s *System) warmFetch(pid mmu.PID, vaddr uint32) {
-	paddr := s.mmu.TranslateWarmI(pid, vaddr)
-	line := s.l1i.lineAddr(paddr)
-	if slot := s.l1i.find(line); slot >= 0 && s.l1i.flags[slot]&flagValid != 0 {
-		s.l1i.touch(slot)
-		return
+// warmL2 applies an L1 outcome's L2 traffic to bank's contents. It
+// inlines into the warm loops, so a hit without traffic costs no call.
+func (s *System) warmL2(o *L1Outcome, bank *l2bank) {
+	if o != nil {
+		s.warmTraffic(o, bank)
 	}
-	s.warmRefill(s.l1i, s.l2i, paddr, s.l1iFetchBytes, true)
 }
 
-// warmLoad mirrors load, including the write-only and subblock
-// word-miss reallocation cases.
-func (s *System) warmLoad(pid mmu.PID, vaddr uint32) {
-	paddr := s.mmu.TranslateWarmD(pid, vaddr)
-	line := s.l1d.lineAddr(paddr)
-	if slot := s.l1d.find(line); slot >= 0 {
-		f := s.l1d.flags[slot]
-		switch {
-		case f&flagWriteOnly != 0:
-			// Write-only lines service writes, not reads: reallocate.
-		case s.cfg.WritePolicy == Subblock && s.l1d.masks[slot]&(1<<s.l1d.wordOf(paddr)) == 0:
-			// Tag matches but this word was never validated.
-		case f&flagValid != 0:
-			s.l1d.touch(slot)
-			return
-		}
-	}
-	s.warmRefill(s.l1d, s.l2d, paddr, s.l1dFetchBytes, false)
-}
-
-// warmStore mirrors store across all four write policies.
-func (s *System) warmStore(pid mmu.PID, vaddr uint32, size uint8) {
-	paddr := s.mmu.TranslateWarmD(pid, vaddr)
-	if s.cfg.writeThrough() {
+// warmTraffic applies the write-through word, then the refill read,
+// then the write-back victims (Config.Validate guarantees a fetch
+// block fits one L2 line).
+func (s *System) warmTraffic(o *L1Outcome, bank *l2bank) {
+	if o.WriteThrough {
 		// The exact engine enqueues a one-word write-buffer entry whose
 		// drain probes L2-D; functionally that is an immediate L2 write.
-		s.warmL2Write(paddr &^ 3)
+		s.warmL2Write(o.Word)
 	}
-	line := s.l1d.lineAddr(paddr)
-	slot := s.l1d.find(line)
-
-	switch s.cfg.WritePolicy {
-	case WriteBack:
-		if slot >= 0 && s.l1d.flags[slot]&flagValid != 0 {
-			s.l1d.flags[slot] |= flagDirty
-			s.l1d.touch(slot)
-			return
-		}
-		// Write-allocate.
-		s.warmRefill(s.l1d, s.l2d, paddr, s.l1dFetchBytes, false)
-		if slot = s.l1d.find(line); slot >= 0 {
-			s.l1d.flags[slot] |= flagDirty
-		}
-
-	case WriteMissInvalidate:
-		if slot >= 0 && s.l1d.flags[slot]&flagValid != 0 {
-			s.l1d.touch(slot)
-			return
-		}
-		// The write corrupted whatever the index selected.
-		victim := s.l1d.victimSlot(line)
-		if s.l1d.tags[victim] != tagInvalid {
-			s.l1d.tags[victim] = tagInvalid
-			s.l1d.flags[victim] = 0
-			s.l1d.masks[victim] = 0
-		}
-
-	case WriteOnly:
-		if slot >= 0 && s.l1d.flags[slot]&(flagValid|flagWriteOnly) != 0 {
-			s.l1d.flags[slot] |= flagDirty
-			s.l1d.touch(slot)
-			return
-		}
-		s.warmEvictFlags(s.l1d, line)
-		s.l1d.insert(line, flagWriteOnly|flagDirty, 0)
-
-	case Subblock:
-		fullWord := size >= trace.WordBytes && paddr&3 == 0
-		if slot >= 0 && s.l1d.flags[slot]&flagValid != 0 {
-			if fullWord {
-				s.l1d.masks[slot] |= 1 << s.l1d.wordOf(paddr)
-			}
-			s.l1d.flags[slot] |= flagDirty
-			s.l1d.touch(slot)
-			return
-		}
-		s.warmEvictFlags(s.l1d, line)
-		var mask uint32
-		if fullWord {
-			mask = 1 << s.l1d.wordOf(paddr)
-		}
-		s.l1d.insert(line, flagValid|flagDirty, mask)
-	}
-}
-
-// warmRefill mirrors refill: eviction handling, one L2 read for the
-// aligned fetch block (Config.Validate guarantees it fits one L2 line),
-// and the L1 inserts. Write-back victim probes of L2 are deferred until
-// after the read to match the write buffer's FIFO order.
-func (s *System) warmRefill(l1 *cache, bank *l2bank, paddr, fetchBytes uint64, instrSide bool) {
-	block := paddr &^ (fetchBytes - 1)
-	lineBytes := uint64(l1.geom.LineWords * trace.WordBytes)
-	var victimBuf [8]uint64
-	victims := victimBuf[:0]
-	if !instrSide {
-		for off := uint64(0); off < fetchBytes; off += lineBytes {
-			line := l1.lineAddr(block + off)
-			slot := l1.find(line)
-			if slot < 0 {
-				slot = l1.victimSlot(line)
-			}
-			if l1.tags[slot] == tagInvalid || l1.flags[slot]&flagDirty == 0 {
-				continue
-			}
-			if s.cfg.WritePolicy == WriteBack {
-				victims = append(victims, l1.tags[slot]<<l1.offBits)
-				l1.flags[slot] &^= flagDirty
-			} else if s.cfg.LoadsPassStores == LPSDirtyBit {
-				l1.flags[slot] &^= flagDirty
-			}
-		}
-	}
-
-	s.warmL2Read(bank, block)
-	for _, addr := range victims {
-		s.warmL2Write(addr)
-	}
-
-	for off := uint64(0); off < fetchBytes; off += lineBytes {
-		l1.insert(l1.lineAddr(block+off), flagValid, l1.fullMask)
-	}
-}
-
-// warmEvictFlags mirrors evictFor for the write-through policies, where
-// a displaced dirty line's data already reached the write buffer word
-// by word: only the loads-pass-stores dirty bit needs maintaining.
-func (s *System) warmEvictFlags(l1 *cache, line uint64) {
-	slot := l1.find(line)
-	if slot < 0 {
-		slot = l1.victimSlot(line)
-	}
-	if l1.tags[slot] == tagInvalid || l1.flags[slot]&flagDirty == 0 {
+	if !o.Refill() {
 		return
 	}
-	if s.cfg.LoadsPassStores == LPSDirtyBit {
-		l1.flags[slot] &^= flagDirty
+	s.warmL2Read(bank, o.Block)
+	for _, addr := range o.WriteBacks {
+		s.warmL2Write(addr)
 	}
 }
 
@@ -244,7 +119,7 @@ func (s *System) CacheFingerprint() uint64 {
 			v >>= 8
 		}
 	}
-	arrays := []*cache{s.l1i, s.l1d, s.l2i.c}
+	arrays := []*cache{&s.l1.i, &s.l1.d, s.l2i.c}
 	if s.l2d != s.l2i {
 		arrays = append(arrays, s.l2d.c)
 	}
@@ -304,7 +179,7 @@ func (s *System) WarmScan(pid mmu.PID, c *trace.Cursor, max int) (int, bool, err
 	}
 	words, w := c.RawWords()
 	drained := n
-	shift := s.l1i.offBits
+	shift := s.l1.i.offBits
 	lastLine := ^uint32(0) // no line: lines fit 30 bits after the shift
 	syscall := false
 	// Fast region: an event is at most four words, so while w stays at or
@@ -335,13 +210,14 @@ func (s *System) WarmScan(pid mmu.PID, c *trace.Cursor, max int) (int, bool, err
 		n++
 		if line := pc >> shift; line != lastLine {
 			lastLine = line
-			s.warmFetch(pid, pc)
+			s.warmL2(s.l1.Fetch(s.mmu.TranslateWarmI(pid, pc)), s.l2i)
 		}
 		if kind := trace.Kind(m >> trace.MetaKindShift & 0xff); kind != trace.None {
+			paddr := s.mmu.TranslateWarmD(pid, data)
 			if kind == trace.Load {
-				s.warmLoad(pid, data)
+				s.warmL2(s.l1.Load(paddr), s.l2d)
 			} else {
-				s.warmStore(pid, data, uint8(m>>trace.MetaSizeShift))
+				s.warmL2(s.l1.Store(paddr, uint8(m>>trace.MetaSizeShift)), s.l2d)
 			}
 		}
 		if m&trace.MetaSyscallBit != 0 {
@@ -369,13 +245,13 @@ func (s *System) WarmScan(pid mmu.PID, c *trace.Cursor, max int) (int, bool, err
 		n++
 		if line := pc >> shift; line != lastLine {
 			lastLine = line
-			s.warmFetch(pid, pc)
+			s.warmL2(s.l1.Fetch(s.mmu.TranslateWarmI(pid, pc)), s.l2i)
 		}
 		switch trace.Kind(m >> trace.MetaKindShift & 0xff) {
 		case trace.Load:
-			s.warmLoad(pid, data)
+			s.warmL2(s.l1.Load(s.mmu.TranslateWarmD(pid, data)), s.l2d)
 		case trace.Store:
-			s.warmStore(pid, data, uint8(m>>trace.MetaSizeShift))
+			s.warmL2(s.l1.Store(s.mmu.TranslateWarmD(pid, data), uint8(m>>trace.MetaSizeShift)), s.l2d)
 		case trace.None:
 			// Fetch-only instruction; nothing further to warm.
 		}

@@ -141,6 +141,30 @@ func TestSampledFullCoverageIsExact(t *testing.T) {
 	}
 }
 
+// TestSampledSliceBeyondRun pins that a time slice longer than the
+// whole run means "switch only at syscalls", however long it is: the
+// warm and skip phases convert the slice into an instruction count at
+// the nominal CPI, and that conversion must saturate, not wrap, for
+// slices of 2^56 cycles and more.
+func TestSampledSliceBeyondRun(t *testing.T) {
+	run := func(slice uint64) sample.Result {
+		res, err := sample.Run(core.Base(), paperProcs(),
+			sched.Config{Level: 8, MaxInstructions: 2_000_000, TimeSlice: slice}, sample.Config{})
+		if err != nil {
+			t.Fatalf("slice %#x: sampled run: %v", slice, err)
+		}
+		return res
+	}
+	a, b := run(1<<40), run(1<<62)
+	if a.Intervals == 0 {
+		t.Fatal("no measured intervals at a 2^40-cycle slice")
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("results differ between two slices beyond the run:\n2^40: %d intervals, %+v\n2^62: %d intervals, %+v",
+			a.Intervals, a.Measured, b.Intervals, b.Measured)
+	}
+}
+
 // TestSampledConfigValidation pins the sentinel and the clamping rules.
 func TestSampledConfigValidation(t *testing.T) {
 	_, err := sample.Run(core.Base(), paperProcs(), sched.Config{},

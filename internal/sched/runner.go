@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"maps"
+	"math"
 
 	"repro/internal/mmu"
 	"repro/internal/trace"
@@ -271,7 +272,13 @@ func (r *Runner) runChunk(p *process, mode Mode, budget uint64) (chunkOutcome, u
 	// skipped/warmed instructions cost nomCharge/256 >= 1.
 	k := r.sliceEnd - now
 	if mode != ModeMeasure {
-		k = (k*nomCPIScale + r.nomCharge - 1) / r.nomCharge
+		// Saturate rather than wrap on slices of 2^55 cycles and more
+		// (k ends up an int); the instruction caps below bound k anyway.
+		if k > (math.MaxInt-r.nomCharge)/nomCPIScale {
+			k = math.MaxInt
+		} else {
+			k = (k*nomCPIScale + r.nomCharge - 1) / r.nomCharge
+		}
 	}
 	if r.cfg.MaxInstructions > 0 {
 		rem := r.cfg.MaxInstructions - r.res.Instructions

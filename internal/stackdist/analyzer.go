@@ -27,13 +27,11 @@ type FilterStats struct {
 // (the analyzer has no invariant checker and no fault paths), so a
 // pass over a well-formed recording always completes.
 type Analyzer struct {
-	cfg    Config
-	mmu    *mmu.MMU
-	policy core.WritePolicy
+	cfg Config
+	mmu *mmu.MMU
 
 	classes [numClasses]*classAnalyzer
-	fl1i    *filterCache
-	fl1d    *filterCache
+	filter  *core.L1 // the filter L1, whose misses make the L2 stream
 
 	// now is the nominal clock: one cycle per instruction plus the
 	// trace's recorded CPU stalls. Cache timing never advances it, so
@@ -44,7 +42,7 @@ type Analyzer struct {
 	instructions uint64
 	maxPID       int
 
-	filter FilterStats
+	filterStats FilterStats
 }
 
 // New builds an analyzer for the configuration.
@@ -57,13 +55,16 @@ func New(cfg Config) (*Analyzer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stackdist: MMU: %w", err)
 	}
-	a := &Analyzer{
-		cfg:    cfg,
-		mmu:    m,
-		policy: cfg.FilterPolicy,
-		fl1i:   newFilterCache(cfg.FilterL1I),
-		fl1d:   newFilterCache(cfg.FilterL1D),
+	// The base configuration's fetch sizes (one line) and
+	// loads-pass-stores scheme (none) are the ones under which the
+	// write buffer preserves the L2 reference order the classes see.
+	fc := core.Base()
+	fc.L1I, fc.L1D, fc.WritePolicy = cfg.FilterL1I, cfg.FilterL1D, cfg.FilterPolicy
+	filter, err := core.NewL1(fc)
+	if err != nil {
+		return nil, fmt.Errorf("stackdist: filter: %w", err)
 	}
+	a := &Analyzer{cfg: cfg, mmu: m, filter: filter}
 	a.classes[ClassL1I] = newClassAnalyzer(ClassL1I, cfg.L1I)
 	a.classes[ClassL1D] = newClassAnalyzer(ClassL1D, cfg.L1D)
 	a.classes[ClassL2U] = newClassAnalyzer(ClassL2U, cfg.L2)
@@ -118,23 +119,74 @@ func (a *Analyzer) step(pid mmu.PID, ev *trace.Event) {
 	}
 }
 
-// fetchInstruction mirrors System.fetchInstruction without timing: the
-// L1-I stream feeds the ClassL1I stacks, and filter misses feed the
-// instruction side of the L2 stream.
+// fetchInstruction feeds the fetch to the ClassL1I stacks and to the
+// filter L1, whose misses feed the instruction side of the L2 stream.
 func (a *Analyzer) fetchInstruction(pid mmu.PID, vaddr uint32) {
 	paddr, _ := a.mmu.TranslateI(pid, vaddr)
 	p := int(pid)
 	a.classes[ClassL1I].access(paddr, false, p)
-	a.filter.L1IAccesses++
-	f := a.fl1i
-	line := f.lineAddr(paddr)
-	if slot := f.find(line); slot >= 0 && f.flags[slot]&fValid != 0 {
-		f.touch(slot)
+	a.filterStats.L1IAccesses++
+	o := a.filter.Fetch(paddr)
+	if o == nil {
 		return
 	}
-	a.filter.L1IMisses++
-	a.l2Access(paddr, false, p, true)
-	f.insert(line, fValid, f.fullMask)
+	a.filterStats.L1IMisses++
+	a.l2Traffic(o, p, true)
+}
+
+// load feeds a data read to the ClassL1D stacks and the filter L1.
+func (a *Analyzer) load(pid mmu.PID, vaddr uint32) {
+	paddr, _ := a.mmu.TranslateD(pid, vaddr)
+	p := int(pid)
+	a.classes[ClassL1D].access(paddr, false, p)
+	a.filterStats.L1DReads++
+	o := a.filter.Load(paddr)
+	if o == nil {
+		return
+	}
+	switch o.Miss {
+	case core.L1WriteOnlyReadMiss:
+		a.filterStats.WriteOnlyReadMisses++
+	case core.L1SubblockWordMiss:
+		a.filterStats.SubblockWordMisses++
+	default:
+		// A plain read miss.
+	}
+	a.filterStats.L1DReadMisses++
+	a.l2Traffic(o, p, false)
+}
+
+// store feeds a data write to the ClassL1D stacks and the filter L1.
+func (a *Analyzer) store(pid mmu.PID, vaddr uint32, size uint8) {
+	paddr, _ := a.mmu.TranslateD(pid, vaddr)
+	p := int(pid)
+	a.classes[ClassL1D].access(paddr, true, p)
+	a.filterStats.L1DWrites++
+	o := a.filter.Store(paddr, size)
+	if o == nil {
+		return
+	}
+	if o.Miss != core.L1Hit {
+		a.filterStats.L1DWriteMisses++
+	}
+	a.l2Traffic(o, p, false)
+}
+
+// l2Traffic feeds a filter access's L2 references to the L2 stream in
+// the order the write buffer produces under LPSNone, where every
+// refill drains the buffer before reading L2: a write-through word at
+// store time, then the refill read, then the write-back victims.
+func (a *Analyzer) l2Traffic(o *core.L1Outcome, pid int, instrSide bool) {
+	if o.WriteThrough {
+		a.l2Access(o.Word, true, pid, false)
+	}
+	if !o.Refill() {
+		return
+	}
+	a.l2Access(o.Block, false, pid, instrSide)
+	for _, addr := range o.WriteBacks {
+		a.l2Access(addr, true, pid, false)
+	}
 }
 
 // l2Access feeds one secondary-cache reference to the unified class
@@ -143,136 +195,14 @@ func (a *Analyzer) l2Access(addr uint64, write bool, pid int, instrSide bool) {
 	a.classes[ClassL2U].access(addr, write, pid)
 	if instrSide {
 		a.classes[ClassL2I].access(addr, write, pid)
-		a.filter.L2IReads++
+		a.filterStats.L2IReads++
 		return
 	}
 	a.classes[ClassL2D].access(addr, write, pid)
 	if write {
-		a.filter.L2DWrites++
+		a.filterStats.L2DWrites++
 	} else {
-		a.filter.L2DReads++
-	}
-}
-
-// refillData mirrors System.refill on the data side for a one-line
-// fetch: under write-back, the dirty victim's write lands in the L2
-// stream right after the refill read — the order the write buffer
-// produces under LPSNone, where every refill drains the buffer before
-// reading L2.
-func (a *Analyzer) refillData(paddr uint64, pid int) {
-	f := a.fl1d
-	line := f.lineAddr(paddr)
-	var victimAddr uint64
-	victimDirty := false
-	if a.policy == core.WriteBack {
-		slot := f.find(line)
-		if slot < 0 {
-			slot = f.victimSlot(line)
-		}
-		if f.tags[slot] != fTagInvalid && f.flags[slot]&fDirty != 0 {
-			victimDirty = true
-			victimAddr = f.tags[slot] << f.offBits
-			f.flags[slot] &^= fDirty
-		}
-	}
-	a.l2Access(paddr, false, pid, false)
-	if victimDirty {
-		a.l2Access(victimAddr, true, pid, false)
-	}
-	f.insert(line, fValid, f.fullMask)
-}
-
-// load mirrors System.load without timing.
-func (a *Analyzer) load(pid mmu.PID, vaddr uint32) {
-	paddr, _ := a.mmu.TranslateD(pid, vaddr)
-	p := int(pid)
-	a.classes[ClassL1D].access(paddr, false, p)
-	a.filter.L1DReads++
-	f := a.fl1d
-	line := f.lineAddr(paddr)
-	if slot := f.find(line); slot >= 0 {
-		fl := f.flags[slot]
-		switch {
-		case fl&fWriteOnly != 0:
-			a.filter.WriteOnlyReadMisses++
-		case a.policy == core.Subblock && f.masks[slot]&(1<<f.wordOf(paddr)) == 0:
-			a.filter.SubblockWordMisses++
-		case fl&fValid != 0:
-			f.touch(slot)
-			return
-		}
-	}
-	a.filter.L1DReadMisses++
-	a.refillData(paddr, p)
-}
-
-// store mirrors System.store without timing. Write-through policies
-// place the stored word in the L2 stream at store time — the order the
-// write buffer produces under LPSNone — and the per-policy allocation
-// behavior matches the simulator's state machine branch for branch.
-func (a *Analyzer) store(pid mmu.PID, vaddr uint32, size uint8) {
-	paddr, _ := a.mmu.TranslateD(pid, vaddr)
-	p := int(pid)
-	a.classes[ClassL1D].access(paddr, true, p)
-	a.filter.L1DWrites++
-	if a.policy != core.WriteBack {
-		a.l2Access(paddr&^3, true, p, false)
-	}
-	f := a.fl1d
-	line := f.lineAddr(paddr)
-	slot := f.find(line)
-
-	switch a.policy {
-	case core.WriteBack:
-		if slot >= 0 && f.flags[slot]&fValid != 0 {
-			f.flags[slot] |= fDirty
-			f.touch(slot)
-			return
-		}
-		a.filter.L1DWriteMisses++
-		a.refillData(paddr, p)
-		if slot = f.find(line); slot >= 0 {
-			f.flags[slot] |= fDirty
-		}
-
-	case core.WriteMissInvalidate:
-		if slot >= 0 && f.flags[slot]&fValid != 0 {
-			f.touch(slot)
-			return
-		}
-		a.filter.L1DWriteMisses++
-		victim := f.victimSlot(line)
-		if f.tags[victim] != fTagInvalid {
-			f.tags[victim] = fTagInvalid
-			f.flags[victim] = 0
-			f.masks[victim] = 0
-		}
-
-	case core.WriteOnly:
-		if slot >= 0 && f.flags[slot]&(fValid|fWriteOnly) != 0 {
-			f.flags[slot] |= fDirty
-			f.touch(slot)
-			return
-		}
-		a.filter.L1DWriteMisses++
-		f.insert(line, fWriteOnly|fDirty, 0)
-
-	case core.Subblock:
-		fullWord := size >= trace.WordBytes && paddr&3 == 0
-		if slot >= 0 && f.flags[slot]&fValid != 0 {
-			if fullWord {
-				f.masks[slot] |= 1 << f.wordOf(paddr)
-			}
-			f.flags[slot] |= fDirty
-			f.touch(slot)
-			return
-		}
-		a.filter.L1DWriteMisses++
-		var mask uint32
-		if fullWord {
-			mask = 1 << f.wordOf(paddr)
-		}
-		f.insert(line, fValid|fDirty, mask)
+		a.filterStats.L2DReads++
 	}
 }
 

@@ -129,7 +129,7 @@ func (a *Analyzer) Result() *Result {
 	res := &Result{
 		Instructions:  a.instructions,
 		NominalCycles: a.now,
-		Filter:        a.filter,
+		Filter:        a.filterStats,
 	}
 	for i, c := range a.classes {
 		c.flushRepeats()

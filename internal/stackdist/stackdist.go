@@ -25,8 +25,9 @@
 // time-slice expiry (see EXPERIMENTS.md for the exactness domain).
 //
 // Reference classes: the L1-I and L1-D streams are analyzed directly;
-// a functional (untimed) model of one fixed L1 configuration — the
-// "filter" — generates the secondary-cache reference stream, which is
+// one fixed L1 configuration — the "filter", core.L1, the same
+// functional L1 model the cycle-accurate engine drives — generates the
+// secondary-cache reference stream, which is
 // analyzed three ways (unified, instruction-only, data-only) so both
 // unified and split L2 organizations come out of the same pass. Reads
 // and writes are binned separately for write-policy screening, and
@@ -97,33 +98,21 @@ type GridSpec struct {
 	Ways []int
 }
 
-// validate reports whether the grid is analyzable.
+// validate reports whether the grid is analyzable: every (size, ways)
+// pair must be a valid core.CacheGeom.
 func (g GridSpec) validate(name string) error {
-	if !powerOfTwo(g.LineWords) {
-		return fmt.Errorf("stackdist: %s: line %dW not a positive power of two", name, g.LineWords)
-	}
 	if len(g.SizesWords) == 0 || len(g.Ways) == 0 {
 		return fmt.Errorf("stackdist: %s: empty grid (need at least one size and one way count)", name)
 	}
-	for _, w := range g.Ways {
-		if w <= 0 {
-			return fmt.Errorf("stackdist: %s: nonpositive associativity %d", name, w)
-		}
-	}
 	for _, size := range g.SizesWords {
 		for _, w := range g.Ways {
-			if size <= 0 || size%(g.LineWords*w) != 0 {
-				return fmt.Errorf("stackdist: %s: size %dW not divisible by line %dW x ways %d", name, size, g.LineWords, w)
-			}
-			if !powerOfTwo(size / (g.LineWords * w)) {
-				return fmt.Errorf("stackdist: %s: set count %d (size %dW, %d-way) not a power of two", name, size/(g.LineWords*w), size, w)
+			if err := (core.CacheGeom{SizeWords: size, LineWords: g.LineWords, Ways: w}).Validate(); err != nil {
+				return fmt.Errorf("stackdist: %s: %w", name, err)
 			}
 		}
 	}
 	return nil
 }
-
-func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // Config parameterizes an Analyzer.
 type Config struct {
@@ -171,11 +160,11 @@ func (cfg Config) Validate() error {
 	if err := cfg.L2.validate("L2 grid"); err != nil {
 		return err
 	}
-	if err := validGeom("filter L1-I", cfg.FilterL1I); err != nil {
-		return err
+	if err := cfg.FilterL1I.Validate(); err != nil {
+		return fmt.Errorf("stackdist: filter L1-I: %w", err)
 	}
-	if err := validGeom("filter L1-D", cfg.FilterL1D); err != nil {
-		return err
+	if err := cfg.FilterL1D.Validate(); err != nil {
+		return fmt.Errorf("stackdist: filter L1-D: %w", err)
 	}
 	if cfg.FilterPolicy < core.WriteBack || cfg.FilterPolicy > core.Subblock {
 		return fmt.Errorf("stackdist: unknown filter write policy %d", int(cfg.FilterPolicy))
@@ -190,29 +179,6 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("stackdist: MMU: %w", err)
 	}
 	return nil
-}
-
-// validGeom mirrors core.CacheGeom's validation for the filter caches.
-func validGeom(name string, g core.CacheGeom) error {
-	switch {
-	case g.SizeWords <= 0 || g.LineWords <= 0 || g.Ways <= 0:
-		return fmt.Errorf("stackdist: %s: nonpositive geometry %+v", name, g)
-	case g.SizeWords%(g.LineWords*g.Ways) != 0:
-		return fmt.Errorf("stackdist: %s: size %dW not divisible by line %dW x ways %d", name, g.SizeWords, g.LineWords, g.Ways)
-	case !powerOfTwo(g.LineWords):
-		return fmt.Errorf("stackdist: %s: line %dW not a power of two", name, g.LineWords)
-	case !powerOfTwo(g.SizeWords / (g.LineWords * g.Ways)):
-		return fmt.Errorf("stackdist: %s: set count %d not a power of two", name, g.SizeWords/(g.LineWords*g.Ways))
-	}
-	return nil
-}
-
-// log2 returns floor(log2(v)) for v >= 1 (0 for v == 0).
-func log2(v uint64) uint {
-	if v == 0 {
-		return 0
-	}
-	return uint(bits.Len64(v)) - 1
 }
 
 // noLine marks an empty stack slot (and the "no previous reference"
@@ -312,7 +278,7 @@ func newClassAnalyzer(class Class, spec GridSpec) *classAnalyzer {
 	c := &classAnalyzer{
 		class:     class,
 		lineWords: spec.LineWords,
-		offBits:   log2(uint64(spec.LineWords * trace.WordBytes)),
+		offBits:   uint(bits.TrailingZeros64(uint64(spec.LineWords * trace.WordBytes))),
 		lastLine:  noLine,
 	}
 	// Collect the distinct set counts of the grid; each tracks stacks
