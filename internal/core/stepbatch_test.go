@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/synth"
 	"repro/internal/trace"
 )
 
@@ -150,4 +151,27 @@ func TestStepBatchLatchedFault(t *testing.T) {
 	if n2, err2 := s.StepBatch(pid, nil); n2 != 0 || err2 == nil {
 		t.Fatalf("StepBatch(nil) on faulted system = (%d, %v), want (0, err)", n2, err2)
 	}
+}
+
+// BenchmarkStepBatch measures the cycle-accurate engine's batch step
+// over a synthetic stream, the way the scheduler feeds it: one op is a
+// full pass over 100k instructions on a system kept from op to op;
+// ns/instr is the per-instruction cost.
+func BenchmarkStepBatch(b *testing.B) {
+	evs := trace.Collect(synth.New(synth.Config{Instructions: 100_000, Seed: 7})).Events()
+	s, err := NewSystem(Base())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for done := 0; done < len(evs); {
+			n, err := s.StepBatch(pid, evs[done:])
+			if err != nil {
+				b.Fatal(err)
+			}
+			done += n
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/instr")
 }

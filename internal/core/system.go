@@ -219,11 +219,21 @@ func (s *System) waitWBEmpty() {
 	s.wb.popAll()
 }
 
-// fetchInstruction services the instruction fetch at vaddr.
-func (s *System) fetchInstruction(pid mmu.PID, vaddr uint32) {
-	paddr, tlbHit := s.mmu.TranslateI(pid, vaddr)
+// chargeTLB stalls for a full translation's TLB miss, if the
+// configuration charges one, and returns its physical address. The
+// same-page fast path needs no charge: it is always a TLB hit.
+func (s *System) chargeTLB(paddr uint64, tlbHit bool) uint64 {
 	if !tlbHit && s.cfg.TLBMissPenalty > 0 {
 		s.stallFor(CauseTLB, uint64(s.cfg.TLBMissPenalty))
+	}
+	return paddr
+}
+
+// fetchInstruction services the instruction fetch at vaddr.
+func (s *System) fetchInstruction(pid mmu.PID, vaddr uint32) {
+	paddr, samePage := s.mmu.SamePageI(pid, vaddr)
+	if !samePage {
+		paddr = s.chargeTLB(s.mmu.TranslateI(pid, vaddr))
 	}
 	s.stats.L1IAccesses++
 	o := s.l1.Fetch(paddr)
@@ -305,9 +315,9 @@ func (s *System) enqueueWrite(addr, bytes uint64) {
 
 // load services a data read at vaddr.
 func (s *System) load(pid mmu.PID, vaddr uint32) {
-	paddr, tlbHit := s.mmu.TranslateD(pid, vaddr)
-	if !tlbHit && s.cfg.TLBMissPenalty > 0 {
-		s.stallFor(CauseTLB, uint64(s.cfg.TLBMissPenalty))
+	paddr, samePage := s.mmu.SamePageD(pid, vaddr)
+	if !samePage {
+		paddr = s.chargeTLB(s.mmu.TranslateD(pid, vaddr))
 	}
 	s.stats.L1DReads++
 	o := s.l1.Load(paddr)
@@ -351,9 +361,9 @@ func (s *System) beforeDataMissFetch(paddr uint64) {
 
 // store services a data write of size bytes at vaddr.
 func (s *System) store(pid mmu.PID, vaddr uint32, size uint8) {
-	paddr, tlbHit := s.mmu.TranslateD(pid, vaddr)
-	if !tlbHit && s.cfg.TLBMissPenalty > 0 {
-		s.stallFor(CauseTLB, uint64(s.cfg.TLBMissPenalty))
+	paddr, samePage := s.mmu.SamePageD(pid, vaddr)
+	if !samePage {
+		paddr = s.chargeTLB(s.mmu.TranslateD(pid, vaddr))
 	}
 	s.stats.L1DWrites++
 	o := s.l1.Store(paddr, size)

@@ -213,13 +213,46 @@ func (m *MMU) frameFor(pid PID, vpn uint32) uint32 {
 // TranslateI translates an instruction-fetch address and reports whether
 // the access hit in the instruction TLB.
 func (m *MMU) TranslateI(pid PID, vaddr uint32) (paddr uint64, tlbHit bool) {
+	if paddr, ok := m.SamePageI(pid, vaddr); ok {
+		return paddr, true
+	}
 	return m.translate(m.itlb, &m.lastI, pid, vaddr)
 }
 
 // TranslateD translates a data access address and reports whether the
 // access hit in the data TLB.
 func (m *MMU) TranslateD(pid PID, vaddr uint32) (paddr uint64, tlbHit bool) {
+	if paddr, ok := m.SamePageD(pid, vaddr); ok {
+		return paddr, true
+	}
 	return m.translate(m.dtlb, &m.lastD, pid, vaddr)
+}
+
+// SamePageI is TranslateI's same-page fast path on its own. When the
+// page is both the port's memoized translation and the instruction
+// TLB's last access, the TLB lookup is a hit on the set's most recently
+// used entry, whose replacement update changes nothing: SamePageI
+// counts the hit and returns the physical address with ok set, exactly
+// as TranslateI would. Otherwise it changes nothing and returns ok
+// false. It is small enough to inline, which TranslateI (with its
+// outlined miss path) is not, so a hot loop fronts TranslateI with it.
+func (m *MMU) SamePageI(pid PID, vaddr uint32) (paddr uint64, ok bool) {
+	key := uint64(pid)<<32 | uint64(vaddr>>PageShift)
+	if key != m.lastI.key || key != m.itlb.last {
+		return 0, false
+	}
+	m.itlb.stats.Hits++
+	return uint64(m.lastI.pfn)<<PageShift | uint64(vaddr&OffsetMask), true
+}
+
+// SamePageD is SamePageI for the data port and the data TLB.
+func (m *MMU) SamePageD(pid PID, vaddr uint32) (paddr uint64, ok bool) {
+	key := uint64(pid)<<32 | uint64(vaddr>>PageShift)
+	if key != m.lastD.key || key != m.dtlb.last {
+		return 0, false
+	}
+	m.dtlb.stats.Hits++
+	return uint64(m.lastD.pfn)<<PageShift | uint64(vaddr&OffsetMask), true
 }
 
 func (m *MMU) translate(tlb *TLB, tc *transCache, pid PID, vaddr uint32) (uint64, bool) {

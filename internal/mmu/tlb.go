@@ -19,6 +19,12 @@ type TLB struct {
 	tags    []uint64 // sets*ways; entryInvalid when empty
 	lruBits []uint8  // per set, for 2-way: which way is LRU
 	stats   TLBStats
+
+	// last is the key of the most recent Access (entryInvalid after a
+	// Flush). That entry is present and most recently used in its set,
+	// so repeating the access is a hit whose replacement update changes
+	// nothing: the MMU's same-page fast path relies on this.
+	last uint64
 }
 
 // TLBStats counts TLB accesses.
@@ -60,6 +66,7 @@ func NewTLB(entries, ways int) (*TLB, error) {
 		ways:    ways,
 		tags:    make([]uint64, entries),
 		lruBits: make([]uint8, sets),
+		last:    entryInvalid,
 	}
 	for i := range t.tags {
 		t.tags[i] = entryInvalid
@@ -80,6 +87,7 @@ func (t *TLB) Stats() TLBStats { return t.stats }
 // miss, and reports whether the lookup hit.
 func (t *TLB) Access(pid PID, vpn uint32) bool {
 	key := uint64(pid)<<32 | uint64(vpn)
+	t.last = key
 	set := vpn & (t.sets - 1)
 	base := int(set) * t.ways
 	for w := 0; w < t.ways; w++ {
@@ -122,6 +130,7 @@ func (t *TLB) victim(set uint32) int {
 // Flush invalidates every entry (not needed with PID-tagged entries, but
 // provided for experiments that model PID-less architectures).
 func (t *TLB) Flush() {
+	t.last = entryInvalid
 	for i := range t.tags {
 		t.tags[i] = entryInvalid
 	}

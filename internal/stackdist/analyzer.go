@@ -122,7 +122,10 @@ func (a *Analyzer) step(pid mmu.PID, ev *trace.Event) {
 // fetchInstruction feeds the fetch to the ClassL1I stacks and to the
 // filter L1, whose misses feed the instruction side of the L2 stream.
 func (a *Analyzer) fetchInstruction(pid mmu.PID, vaddr uint32) {
-	paddr, _ := a.mmu.TranslateI(pid, vaddr)
+	paddr, ok := a.mmu.SamePageI(pid, vaddr)
+	if !ok {
+		paddr, _ = a.mmu.TranslateI(pid, vaddr)
+	}
 	p := int(pid)
 	a.classes[ClassL1I].access(paddr, false, p)
 	a.filterStats.L1IAccesses++
@@ -136,7 +139,10 @@ func (a *Analyzer) fetchInstruction(pid mmu.PID, vaddr uint32) {
 
 // load feeds a data read to the ClassL1D stacks and the filter L1.
 func (a *Analyzer) load(pid mmu.PID, vaddr uint32) {
-	paddr, _ := a.mmu.TranslateD(pid, vaddr)
+	paddr, ok := a.mmu.SamePageD(pid, vaddr)
+	if !ok {
+		paddr, _ = a.mmu.TranslateD(pid, vaddr)
+	}
 	p := int(pid)
 	a.classes[ClassL1D].access(paddr, false, p)
 	a.filterStats.L1DReads++
@@ -158,7 +164,10 @@ func (a *Analyzer) load(pid mmu.PID, vaddr uint32) {
 
 // store feeds a data write to the ClassL1D stacks and the filter L1.
 func (a *Analyzer) store(pid mmu.PID, vaddr uint32, size uint8) {
-	paddr, _ := a.mmu.TranslateD(pid, vaddr)
+	paddr, ok := a.mmu.SamePageD(pid, vaddr)
+	if !ok {
+		paddr, _ = a.mmu.TranslateD(pid, vaddr)
+	}
 	p := int(pid)
 	a.classes[ClassL1D].access(paddr, true, p)
 	a.filterStats.L1DWrites++

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sample"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stackdist"
@@ -22,12 +23,15 @@ func fuzzGeom(b uint8) core.CacheGeom {
 	}
 }
 
+// fuzzTraceInstructions is the length of each fuzzed process.
+const fuzzTraceInstructions = 15_000
+
 // fuzzTrace records a synthetic process whose working sets overflow
 // the fuzzed L1s and L2. Some stores are narrowed to misaligned bytes,
 // so subblock placement sees partial-word writes too.
 func fuzzTrace(seed uint64) *trace.Recorded {
 	g := synth.New(synth.Config{
-		Instructions: 15_000,
+		Instructions: fuzzTraceInstructions,
 		LoadFrac:     0.20,
 		StoreFrac:    0.12,
 		CodeBytes:    24 * 1024,
@@ -48,6 +52,11 @@ func fuzzTrace(seed uint64) *trace.Recorded {
 	return trace.Pack(trace.NewMemTrace(evs))
 }
 
+// fullCoverageIntervals are sampling intervals that divide the fuzzed
+// run (two processes of fuzzTraceInstructions each), so a Period ==
+// Interval run measures every instruction in complete intervals.
+var fullCoverageIntervals = []uint64{1_000, 1_500, 2_000, 2_500, 3_000, 5_000, 7_500}
+
 // FuzzEngines checks the agreements the three engines promise on
 // random inputs: a fuzzed L1 geometry for each side, write policy, L2
 // associativity, and synthetic two-process workload, under a
@@ -57,6 +66,8 @@ func fuzzTrace(seed uint64) *trace.Recorded {
 //     write-back, where the grid's write-allocate LRU model is the
 //     real L1-D) its L1-D grid point equal the exact engine's counts as
 //     integers.
+//   - Sampling at 100% coverage (Period == Interval) measures exactly
+//     the exact engine's Stats.
 //   - WarmScan and WarmBatch leave identical cache state.
 //   - WarmBatch and a Step replay leave identical cache state.
 func FuzzEngines(f *testing.F) {
@@ -88,8 +99,15 @@ func FuzzEngines(f *testing.F) {
 		if err != nil {
 			t.Fatalf("sim.Run: %v", err)
 		}
+		// Each class's grid spans the fuzzed size, one coarser and one
+		// finer size, at 1 and 2 ways: four nested set counts, so the
+		// analyzer's set-refinement early exit is on the checked path.
 		grid := func(g core.CacheGeom) stackdist.GridSpec {
-			return stackdist.GridSpec{LineWords: g.LineWords, SizesWords: []int{g.SizeWords}, Ways: []int{g.Ways}}
+			return stackdist.GridSpec{
+				LineWords:  g.LineWords,
+				SizesWords: []int{g.SizeWords / 2, g.SizeWords, 2 * g.SizeWords},
+				Ways:       []int{1, 2},
+			}
 		}
 		res, _, err := stackdist.Analyze(stackdist.Config{
 			L1I: grid(cfg.L1I), L1D: grid(cfg.L1D), L2: grid(cfg.L2U.Geom),
@@ -99,6 +117,26 @@ func FuzzEngines(f *testing.F) {
 			t.Fatalf("Analyze: %v", err)
 		}
 		compareScreening(t, cfg, res, exact.Stats)
+
+		// Sampling every instruction (Period == Interval, an interval
+		// that divides the run) equals the exact run before its final
+		// write-buffer drain.
+		sys, err := core.NewSystem(cfg)
+		if err != nil {
+			t.Fatalf("NewSystem: %v", err)
+		}
+		if _, err := sched.Run(sys, procs(), scfg); err != nil {
+			t.Fatalf("exact run: %v", err)
+		}
+		interval := fullCoverageIntervals[seed%uint64(len(fullCoverageIntervals))]
+		sampled, err := sample.Run(cfg, procs(), scfg, sample.Config{Interval: interval, Period: interval})
+		if err != nil {
+			t.Fatalf("sample.Run: %v", err)
+		}
+		if want := sys.Stats(); sampled.Measured != want {
+			t.Errorf("interval %d: full-coverage sampling diverged from exact:\nexact:   %+v\nsampled: %+v",
+				interval, want, sampled.Measured)
+		}
 
 		step, batch, scan := fingerprints(t, cfg, recs[0], 1+int(seed%1_500))
 		if scan != batch {

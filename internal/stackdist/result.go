@@ -123,8 +123,8 @@ func (r *Result) SplitL2Counts(bankSizeWords, ways int) (GridCounts, bool) {
 }
 
 // Result snapshots the analyzer's histograms. It may be called
-// mid-pass (the repeat fast path is flushed first); the returned
-// slices are copies and stay stable if the pass continues.
+// mid-pass; the returned slices are copies and stay stable if the pass
+// continues.
 func (a *Analyzer) Result() *Result {
 	res := &Result{
 		Instructions:  a.instructions,
@@ -132,21 +132,27 @@ func (a *Analyzer) Result() *Result {
 		Filter:        a.filterStats,
 	}
 	for i, c := range a.classes {
-		c.flushRepeats()
 		res.Classes[i] = c.snapshot(a.maxPID)
 	}
 	return res
 }
 
-// snapshot copies the class's histograms, trimming per-process rows to
-// the highest PID seen.
+// snapshot copies the class's histograms, folding the early-exit
+// references into each grid's distance-0 buckets (every suffix counter
+// at or before the grid's index) and trimming per-process rows to the
+// highest PID seen.
 func (c *classAnalyzer) snapshot(maxPID int) ClassResult {
 	cr := ClassResult{
 		Class:     c.class,
 		LineWords: c.lineWords,
 		Grids:     make([]Histogram, len(c.grids)),
 	}
+	n := len(c.grids)
+	var mruR, mruW uint64
+	mruPID := make([]uint64, maxPID+1)
 	for i, g := range c.grids {
+		mruR += c.mruReads[i]
+		mruW += c.mruWrites[i]
 		h := Histogram{
 			Sets:   g.sets,
 			Depth:  g.depth,
@@ -154,9 +160,13 @@ func (c *classAnalyzer) snapshot(maxPID int) ClassResult {
 			Writes: append([]uint64(nil), g.writes...),
 			PerPID: make([][]uint64, maxPID+1),
 		}
+		h.Reads[0] += mruR
+		h.Writes[0] += mruW
 		stride := g.depth + 1
 		for p := 0; p <= maxPID; p++ {
+			mruPID[p] += c.mruPerPID[p*n+i]
 			h.PerPID[p] = append([]uint64(nil), g.perPID[p*stride:(p+1)*stride]...)
+			h.PerPID[p][0] += mruPID[p]
 		}
 		h.PerPID[0] = nil // PID 0 is never scheduled
 		cr.Grids[i] = h

@@ -181,9 +181,9 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// noLine marks an empty stack slot (and the "no previous reference"
-// state of a class's repeat fast path). Physical line addresses are
-// tiny by comparison, so it can never collide with a real line.
+// noLine marks an empty stack slot (and a class's lastLine before its
+// first reference). Physical line addresses are tiny by comparison, so
+// it can never collide with a real line.
 const noLine = ^uint64(0)
 
 // maxPIDs bounds the per-process histograms: mmu.PID is 8 bits.
@@ -225,53 +225,66 @@ func newGridStacks(sets, depth int) *gridStacks {
 	return g
 }
 
-// access records one reference to line and updates the set's stack.
-// This is the analyzer's hottest loop after the repeat fast path; the
-// set arithmetic is hoisted and the scan runs over a subslice like
-// core's cache.find.
-func (g *gridStacks) access(line uint64, write bool, pid int) {
+// access records one reference to line and updates the set's stack,
+// unless line is already the MRU entry of its set: then it records
+// nothing and reports true, and the caller counts the distance-0
+// reference (see classAnalyzer.access). This is the analyzer's hottest
+// loop; the set arithmetic is hoisted and the scan runs over a subslice
+// like core's cache.find.
+func (g *gridStacks) access(line uint64, write bool, pid int) (mru bool) {
 	base := int(line&g.setMask) * g.depth
 	st := g.stacks[base : base+g.depth]
-	d := 0
-	if st[0] != line {
-		d = g.depth
-		for i := 1; i < len(st); i++ {
-			if st[i] == line {
-				d = i
-				break
-			}
-		}
-		// Move to front: everything above the hit depth shifts down one.
-		if d == g.depth {
-			copy(st[1:], st[:g.depth-1])
-		} else {
-			copy(st[1:], st[:d])
-		}
-		st[0] = line
+	if st[0] == line {
+		return true
 	}
+	d := g.depth
+	for i := 1; i < len(st); i++ {
+		if st[i] == line {
+			d = i
+			break
+		}
+	}
+	// Move to front: everything above the hit depth shifts down one.
+	if d == g.depth {
+		copy(st[1:], st[:g.depth-1])
+	} else {
+		copy(st[1:], st[:d])
+	}
+	st[0] = line
 	if write {
 		g.writes[d]++
 	} else {
 		g.reads[d]++
 	}
 	g.perPID[pid*(g.depth+1)+d]++
+	return false
 }
 
 // classAnalyzer analyzes one reference class: the same address stream
 // against every distinct set count its grid needs.
+//
+// Set-refinement early exit: the grids are sorted by set count, coarse
+// to fine, and set counts are powers of two indexed by the low line
+// bits, so every set of a finer grid holds a subset of the lines of one
+// set of each coarser grid. A line that is MRU in its coarse set is
+// therefore MRU in its set of every finer grid too, where the reference
+// is at distance 0 and moves nothing. access stops at the first grid
+// where the line is already MRU and counts the reference once, in the
+// suffix counters at that grid's index; snapshot adds each grid's
+// prefix of them to its distance-0 buckets. A reference to the same
+// line as the class's previous one is MRU everywhere: suffix index 0.
 type classAnalyzer struct {
 	class     Class
 	lineWords int
 	offBits   uint
 	grids     []*gridStacks
 
-	// Repeat fast path: a reference to the same line as the previous
-	// reference of this class is at distance 0 in every grid (the line
-	// is MRU everywhere), so it only bumps counters. Instruction
-	// fetches walk lines sequentially, making this the common case.
-	lastLine            uint64
-	lastPID             int
-	repReads, repWrites uint64
+	lastLine uint64
+	// mruReads[i], mruWrites[i] and mruPerPID[pid*len(grids)+i] count
+	// references found MRU first at grids[i], and so at distance 0 in
+	// grids[i:] without having been recorded there.
+	mruReads, mruWrites []uint64
+	mruPerPID           []uint64
 }
 
 func newClassAnalyzer(class Class, spec GridSpec) *classAnalyzer {
@@ -304,43 +317,37 @@ func newClassAnalyzer(class Class, spec GridSpec) *classAnalyzer {
 			}
 		}
 	}
+	// Coarse to fine: access's early exit depends on this order.
 	sort.Slice(scs, func(i, j int) bool { return scs[i].sets < scs[j].sets })
 	c.grids = make([]*gridStacks, len(scs))
 	for i, sc := range scs {
 		c.grids[i] = newGridStacks(sc.sets, sc.depth)
 	}
+	c.mruReads = make([]uint64, len(scs))
+	c.mruWrites = make([]uint64, len(scs))
+	c.mruPerPID = make([]uint64, maxPIDs*len(scs))
 	return c
 }
 
 // access records one reference to the line containing addr.
 func (c *classAnalyzer) access(addr uint64, write bool, pid int) {
 	line := addr >> c.offBits
-	if line == c.lastLine && pid == c.lastPID {
-		if write {
-			c.repWrites++
-		} else {
-			c.repReads++
+	i := 0
+	if line != c.lastLine {
+		c.lastLine = line
+		for ; i < len(c.grids); i++ {
+			if c.grids[i].access(line, write, pid) {
+				break
+			}
 		}
-		return
+		if i == len(c.grids) {
+			return
+		}
 	}
-	c.flushRepeats()
-	c.lastLine, c.lastPID = line, pid
-	for _, g := range c.grids {
-		g.access(line, write, pid)
+	if write {
+		c.mruWrites[i]++
+	} else {
+		c.mruReads[i]++
 	}
-}
-
-// flushRepeats folds the accumulated same-line references into every
-// grid's distance-0 buckets. Must run before reading histograms.
-func (c *classAnalyzer) flushRepeats() {
-	if c.repReads == 0 && c.repWrites == 0 {
-		return
-	}
-	r, w, pid := c.repReads, c.repWrites, c.lastPID
-	c.repReads, c.repWrites = 0, 0
-	for _, g := range c.grids {
-		g.reads[0] += r
-		g.writes[0] += w
-		g.perPID[pid*(g.depth+1)] += r + w
-	}
+	c.mruPerPID[pid*len(c.grids)+i]++
 }
