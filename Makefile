@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench lint verify fuzz chaos sweep serve load sample-validate cluster cluster-smoke
+.PHONY: all build test bench lint fmtcheck verify fuzz chaos sweep serve load sample-validate cluster cluster-smoke
 
 all: build
 
@@ -30,12 +30,17 @@ bench:
 lint:
 	$(GO) run ./cmd/cachelint ./...
 
-# verify: static checks (vet + cachelint), a full build, the test suite
+# fmtcheck: fail, listing the files, when any Go file is not gofmt-clean.
+fmtcheck:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+		echo "gofmt: not formatted (run gofmt -w):"; echo "$$out"; exit 1; fi
+
+# verify: static checks (gofmt, vet, cachelint), a full build, the test suite
 # under the race detector, and short fuzz smokes over the trace-file
 # reader and the three engines' agreement (FuzzEngines: screening equals
 # exact, functional warming equals a full replay, on random L1
 # geometries, write policies and synthetic traces).
-verify: lint
+verify: lint fmtcheck
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

@@ -21,6 +21,8 @@ type L1 struct {
 	policy   WritePolicy
 	dirtyBit bool // LPSDirtyBit: replacing a dirty line flushes the write buffer
 
+	loadProbe bool // LoadHit may answer: a direct-mapped L1-D, policy not Subblock
+
 	iFetchBytes, dFetchBytes uint64
 
 	writeBacks []uint64 // backs L1Outcome.WriteBacks; sized once, never grown
@@ -99,10 +101,34 @@ func newL1(cfg *Config) L1 {
 		d:           *newCache(cfg.L1D),
 		policy:      cfg.WritePolicy,
 		dirtyBit:    cfg.LoadsPassStores == LPSDirtyBit,
+		loadProbe:   cfg.L1D.Ways == 1 && cfg.WritePolicy != Subblock,
 		iFetchBytes: uint64(cfg.l1iFetch() * trace.WordBytes),
 		dFetchBytes: uint64(cfg.l1dFetch() * trace.WordBytes),
 		writeBacks:  make([]uint64, 0, cfg.l1dFetch()/cfg.L1D.LineWords),
 	}
+}
+
+// FetchHit reports whether Fetch(paddr) would be a direct-mapped hit:
+// one that returns no outcome and changes no state (a direct-mapped
+// set has no replacement state to touch). It has no side effects and
+// inlines, so an engine pays a call only when it must go on to Fetch.
+// On a set-associative L1-I it always reports false.
+func (m *L1) FetchHit(paddr uint64) bool {
+	c := &m.i
+	line := paddr >> c.offBits
+	slot := int(line & c.setMask)
+	return c.ways == 1 && c.tags[slot] == line && c.flags[slot]&flagValid != 0
+}
+
+// LoadHit is FetchHit for Load: it reports a direct-mapped hit on a
+// valid line that is not write-only. Under Subblock a hit also needs
+// its word's valid bit, so LoadHit always reports false there and the
+// engine asks Load.
+func (m *L1) LoadHit(paddr uint64) bool {
+	c := &m.d
+	line := paddr >> c.offBits
+	slot := int(line & c.setMask)
+	return m.loadProbe && c.tags[slot] == line && c.flags[slot]&(flagValid|flagWriteOnly) == flagValid
 }
 
 // Fetch performs an instruction fetch of physical address paddr.

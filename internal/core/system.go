@@ -121,28 +121,47 @@ func (s *System) Step(pid mmu.PID, ev *trace.Event) error {
 	if s.fault != nil {
 		return s.fault
 	}
-	s.stepEvent(pid, ev)
+	s.execute(pid, ev.PC, ev.Data, ev.Kind, ev.Size, ev.Stall)
 	return s.fault
 }
 
-// stepEvent executes one instruction unconditionally; callers check the
-// latched fault before and after.
-func (s *System) stepEvent(pid mmu.PID, ev *trace.Event) {
+// execute simulates one instruction unconditionally; callers check the
+// latched fault before and after. It is the one per-instruction body
+// behind Step, StepBatch and StepScan. The common case costs no call:
+// the same-page translations, the L1-I and L1-D hit probes (hits that
+// change no state) and the write buffer's retire guard all inline, and
+// only a translation or an access they cannot answer goes to an
+// outlined path. DESIGN.md §5 argues each early exit is exact.
+func (s *System) execute(pid mmu.PID, pc, data uint32, kind trace.Kind, size, stall uint8) {
 	s.stats.Instructions++
-	s.now++ // issue cycle
-	if ev.Stall > 0 {
-		s.stallFor(CauseCPU, uint64(ev.Stall))
+	// The issue cycle and the instruction's CPU stalls. Adding a zero
+	// stall changes nothing, so the add needs no branch.
+	s.stats.Stalls[CauseCPU] += uint64(stall)
+	s.now += 1 + uint64(stall)
+	paddr, samePage := s.mmu.SamePageI(pid, pc)
+	if !samePage {
+		paddr = s.chargeTLB(s.mmu.TranslateI(pid, pc))
 	}
-	s.fetchInstruction(pid, ev.PC)
-	switch ev.Kind {
+	s.stats.L1IAccesses++
+	if !s.l1.FetchHit(paddr) {
+		s.fetchL1(paddr)
+	}
+	switch kind {
 	case trace.Load:
-		s.load(pid, ev.Data)
+		paddr, samePage := s.mmu.SamePageD(pid, data)
+		if !samePage {
+			paddr = s.chargeTLB(s.mmu.TranslateD(pid, data))
+		}
+		s.stats.L1DReads++
+		if !s.l1.LoadHit(paddr) {
+			s.loadL1(paddr)
+		}
 	case trace.Store:
-		s.store(pid, ev.Data, ev.Size)
+		s.store(pid, data, size)
 	case trace.None:
 		// No data reference; the fetch above was the only access.
 	}
-	s.wb.popCompleted(s.now)
+	s.wb.retire(s.now)
 	if s.cfg.SelfCheck > 0 && s.now >= s.nextCheck {
 		s.nextCheck = s.now + s.cfg.SelfCheck
 		s.fail(s.CheckInvariants())
@@ -176,7 +195,7 @@ func (s *System) StepBatch(pid mmu.PID, evs []trace.Event) (int, error) {
 	stop := s.now + uint64(len(evs))
 	for i := range evs {
 		ev := &evs[i]
-		s.stepEvent(pid, ev)
+		s.execute(pid, ev.PC, ev.Data, ev.Kind, ev.Size, ev.Stall)
 		if s.fault != nil {
 			return i + 1, s.fault
 		}
@@ -185,6 +204,52 @@ func (s *System) StepBatch(pid mmu.PID, evs []trace.Event) (int, error) {
 		}
 	}
 	return len(evs), nil
+}
+
+// StepScan is StepBatch straight over a packed cursor: it simulates and
+// consumes up to max events of process pid from c, decoding each from
+// the packed words instead of materializing Events. It has StepBatch's
+// contract with max in place of len(evs): it stops after an executed
+// syscall (and reports it), or once the clock has advanced at least max
+// cycles, and it returns the same n on a latched fault. So wherever at
+// least max events remain it equals StepBatch over the cursor's next
+// max events, already decoded or not. With max > 0, n == 0 means the
+// cursor is exhausted.
+func (s *System) StepScan(pid mmu.PID, c *trace.Cursor, max int) (n int, syscall bool, err error) {
+	if s.fault != nil {
+		var ev trace.Event
+		if max > 0 && c.Next(&ev) {
+			return 1, ev.Syscall, s.fault
+		}
+		return 0, false, s.fault
+	}
+	stop := s.now + uint64(max)
+	// Consume the cursor's decoded read-ahead first; RawWords is only
+	// valid once no batched events are pending.
+	for pending := c.Pending(); n < max && n < len(pending); {
+		ev := &pending[n]
+		s.execute(pid, ev.PC, ev.Data, ev.Kind, ev.Size, ev.Stall)
+		n++
+		if ev.Syscall || s.fault != nil || s.now >= stop {
+			c.Skip(n)
+			return n, ev.Syscall, s.fault
+		}
+	}
+	c.Skip(n)
+	words, w, end := c.RawWords()
+	drained := n
+	for n < max && w < end {
+		pc, meta, data, next := trace.Decode(words, w)
+		w = next
+		n++
+		s.execute(pid, pc, data, trace.Kind(meta>>trace.MetaKindShift),
+			uint8(meta>>trace.MetaSizeShift), uint8(meta>>trace.MetaStallShift))
+		if syscall = meta&trace.MetaSyscallBit != 0; syscall || s.fault != nil || s.now >= stop {
+			break
+		}
+	}
+	c.RawAdvance(w, n-drained) // raw-consumed events only
+	return n, syscall, s.fault
 }
 
 // Run consumes an entire single-process stream (convenience for tests,
@@ -229,13 +294,9 @@ func (s *System) chargeTLB(paddr uint64, tlbHit bool) uint64 {
 	return paddr
 }
 
-// fetchInstruction services the instruction fetch at vaddr.
-func (s *System) fetchInstruction(pid mmu.PID, vaddr uint32) {
-	paddr, samePage := s.mmu.SamePageI(pid, vaddr)
-	if !samePage {
-		paddr = s.chargeTLB(s.mmu.TranslateI(pid, vaddr))
-	}
-	s.stats.L1IAccesses++
+// fetchL1 services an instruction fetch at paddr that FetchHit could
+// not answer.
+func (s *System) fetchL1(paddr uint64) {
 	o := s.l1.Fetch(paddr)
 	if o == nil {
 		return
@@ -313,13 +374,8 @@ func (s *System) enqueueWrite(addr, bytes uint64) {
 	}
 }
 
-// load services a data read at vaddr.
-func (s *System) load(pid mmu.PID, vaddr uint32) {
-	paddr, samePage := s.mmu.SamePageD(pid, vaddr)
-	if !samePage {
-		paddr = s.chargeTLB(s.mmu.TranslateD(pid, vaddr))
-	}
-	s.stats.L1DReads++
+// loadL1 services a data read at paddr that LoadHit could not answer.
+func (s *System) loadL1(paddr uint64) {
 	o := s.l1.Load(paddr)
 	if o == nil {
 		return

@@ -177,86 +177,32 @@ func (s *System) WarmScan(pid mmu.PID, c *trace.Cursor, max int) (int, bool, err
 			return n, false, nil
 		}
 	}
-	words, w := c.RawWords()
+	words, w, end := c.RawWords()
 	drained := n
 	shift := s.l1.i.offBits
 	lastLine := ^uint32(0) // no line: lines fit 30 bits after the shift
 	syscall := false
-	// Fast region: an event is at most four words, so while w stays at or
-	// below len-4 every speculative word read is in bounds and the decode
-	// can load unconditionally — no per-tag branching, which is what the
-	// branch predictor cannot handle on a mixed plain/meta/data stream.
-	// The conditional zeroings below compile to conditional moves. A
-	// meta-tagged load or store has an implicit zero data address (the
-	// encoder drops the data word when it is zero), hence data is zeroed
-	// for events shorter than three words.
-	limit := len(words) - 4
-	for n < max && w <= limit {
-		w0 := words[w]
-		adv := int(w0&trace.TagMask) + 1
-		m := words[w+1]
-		data := words[w+2]
-		pc := w0 &^ trace.TagMask
-		if adv == 1 {
-			m = 0
-		}
-		if adv < 3 {
-			data = 0
-		}
-		if adv == 4 {
-			pc = words[w+3]
-		}
-		w += adv
+	for n < max && w < end {
+		pc, meta, data, next := trace.Decode(words, w)
+		w = next
 		n++
 		if line := pc >> shift; line != lastLine {
 			lastLine = line
-			s.warmL2(s.l1.Fetch(s.mmu.TranslateWarmI(pid, pc)), s.l2i)
-		}
-		if kind := trace.Kind(m >> trace.MetaKindShift & 0xff); kind != trace.None {
-			paddr := s.mmu.TranslateWarmD(pid, data)
-			if kind == trace.Load {
-				s.warmL2(s.l1.Load(paddr), s.l2d)
-			} else {
-				s.warmL2(s.l1.Store(paddr, uint8(m>>trace.MetaSizeShift)), s.l2d)
+			if paddr := s.mmu.TranslateWarmI(pid, pc); !s.l1.FetchHit(paddr) {
+				s.warmL2(s.l1.Fetch(paddr), s.l2i)
 			}
 		}
-		if m&trace.MetaSyscallBit != 0 {
+		if kind := trace.Kind(meta >> trace.MetaKindShift); kind != trace.None {
+			paddr := s.mmu.TranslateWarmD(pid, data)
+			if kind != trace.Load {
+				s.warmL2(s.l1.Store(paddr, uint8(meta>>trace.MetaSizeShift)), s.l2d)
+			} else if !s.l1.LoadHit(paddr) {
+				s.warmL2(s.l1.Load(paddr), s.l2d)
+			}
+		}
+		if meta&trace.MetaSyscallBit != 0 {
 			syscall = true
 			break
-		}
-	}
-	// Tail: within four words of the end, decode carefully per tag.
-	for !syscall && n < max && w < len(words) {
-		w0 := words[w]
-		m, pc, data := uint32(0), w0&^uint32(trace.TagMask), uint32(0)
-		switch w0 & trace.TagMask {
-		case trace.TagPlain:
-			w++
-		case trace.TagMeta:
-			m = words[w+1]
-			w += 2
-		case trace.TagData:
-			m, data = words[w+1], words[w+2]
-			w += 3
-		default: // TagRaw
-			m, data, pc = words[w+1], words[w+2], words[w+3]
-			w += 4
-		}
-		n++
-		if line := pc >> shift; line != lastLine {
-			lastLine = line
-			s.warmL2(s.l1.Fetch(s.mmu.TranslateWarmI(pid, pc)), s.l2i)
-		}
-		switch trace.Kind(m >> trace.MetaKindShift & 0xff) {
-		case trace.Load:
-			s.warmL2(s.l1.Load(s.mmu.TranslateWarmD(pid, data)), s.l2d)
-		case trace.Store:
-			s.warmL2(s.l1.Store(s.mmu.TranslateWarmD(pid, data), uint8(m>>trace.MetaSizeShift)), s.l2d)
-		case trace.None:
-			// Fetch-only instruction; nothing further to warm.
-		}
-		if m&trace.MetaSyscallBit != 0 {
-			syscall = true
 		}
 	}
 	c.RawAdvance(w, n-drained) // raw-consumed events only

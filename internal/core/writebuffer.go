@@ -115,6 +115,16 @@ func (wb *writeBuffer) popCompleted(now uint64) {
 	}
 }
 
+// retire is popCompleted behind an inlinable guard, for the
+// per-instruction call: it retires only when the head entry's
+// completion is unknown (0, which the comparison includes) or has
+// passed, the only cases in which popCompleted changes anything.
+func (wb *writeBuffer) retire(now uint64) {
+	if len(wb.q) > 0 && wb.q[0].complete <= now {
+		wb.popCompleted(now)
+	}
+}
+
 // popAll retires every entry unconditionally (after a wait-for-empty or
 // flush stall has elapsed).
 func (wb *writeBuffer) popAll() {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -214,6 +216,46 @@ func TestWBServiceTimeVariation(t *testing.T) {
 	for j, w := range want {
 		if wb.q[j].complete != w {
 			t.Errorf("entry %d completes at %d, want %d", j, wb.q[j].complete, w)
+		}
+	}
+}
+
+// TestWBRetireMatchesPopCompleted drives two buffers through the same
+// random pushes, peeks and clock ticks, one retiring through the
+// per-instruction guard and one calling popCompleted unguarded, and
+// requires identical queues, drain times and L2 service calls (order
+// and start cycles) after every step.
+func TestWBRetireMatchesPopCompleted(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	type call struct{ addr, start uint64 }
+	var guarded, plain []call
+	service := func(log *[]call) serviceFunc {
+		return func(addr uint64, words int, start uint64) uint64 {
+			*log = append(*log, call{addr, start})
+			return 2 + addr%7
+		}
+	}
+	a := newWriteBuffer(4, 2, service(&guarded))
+	b := newWriteBuffer(4, 2, service(&plain))
+	now := uint64(0)
+	for i := 0; i < 20000; i++ {
+		now += uint64(rng.Intn(4))
+		switch r := rng.Intn(8); {
+		case r < 3 && !a.full():
+			addr := uint64(rng.Intn(64))
+			a.push(addr, 1, now)
+			b.push(addr, 1, now)
+		case r == 3 && a.len() > 0:
+			// Compute some completions ahead of time, as a full-buffer
+			// stall or a loads-pass-stores match does.
+			a.headComplete()
+			b.headComplete()
+		}
+		a.retire(now)
+		b.popCompleted(now)
+		if !slices.Equal(a.q, b.q) || a.last != b.last || !slices.Equal(guarded, plain) {
+			t.Fatalf("step %d, cycle %d: retire diverged from popCompleted:\nretire: %+v last %d\npop:    %+v last %d",
+				i, now, a.q, a.last, b.q, b.last)
 		}
 	}
 }

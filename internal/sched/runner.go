@@ -13,8 +13,9 @@ import (
 type Mode uint8
 
 const (
-	// ModeMeasure drives the target cycle-accurately via StepBatch —
-	// identical semantics to Run's batched quantum path.
+	// ModeMeasure drives the target cycle-accurately via StepScan over
+	// packed-trace cursors, StepBatch otherwise — identical semantics to
+	// Run's batched quantum path.
 	ModeMeasure Mode = iota
 	// ModeWarm advances architectural state functionally via WarmBatch:
 	// caches and TLB stay warm, but no cycles are charged; the virtual
@@ -50,9 +51,10 @@ type WarmTarget interface {
 }
 
 // ScanWarmTarget is a WarmTarget with a zero-decode fast path over
-// packed-trace cursors: WarmScan must be state-equivalent to draining
-// the same events through WarmBatch, with the same consume-and-stop
-// syscall contract. The runner uses it automatically for warm-mode
+// packed-trace cursors, the warm-mode counterpart of ScanTarget:
+// WarmScan must be state-equivalent to draining the same events
+// through WarmBatch, with the same consume-and-stop syscall contract
+// and no cap on max. The runner uses it automatically for warm-mode
 // work on processes whose stream is a *trace.Cursor; continuous
 // functional warming in sampled simulation is only affordable through
 // this path. *core.System satisfies it.
@@ -82,8 +84,9 @@ const nomCPIScale = 256
 // (which would let a slice never expire) or ticking at the wrong rate.
 type Runner struct {
 	target   BatchTarget
+	scan     ScanTarget     // nil if the target cannot raw-scan to measure
 	warm     WarmTarget     // nil if the target cannot warm
-	scanWarm ScanWarmTarget // nil if the target cannot raw-scan
+	scanWarm ScanWarmTarget // nil if the target cannot raw-scan to warm
 	cfg      Config
 	level    int
 	slice    uint64
@@ -130,6 +133,9 @@ func NewRunner(target BatchTarget, procs []Process, cfg Config) (*Runner, error)
 		pending:   procs,
 		nextPID:   1,
 		nomCharge: nomCPIScale, // nominal CPI 1.0 until the caller measures
+	}
+	if st, ok := target.(ScanTarget); ok {
+		r.scan = st
 	}
 	if wt, ok := target.(WarmTarget); ok {
 		r.warm = wt
@@ -257,8 +263,9 @@ const (
 
 // runChunk performs one bounded batch of p in the given mode: at most
 // budget instructions, at most the current quantum's remaining virtual
-// cycles, at most quantumBatchMax events. It updates instruction and
-// switch accounting exactly like Run's quantum loops.
+// cycles, and at most quantumBatchMax events when it materializes
+// them. It updates instruction and switch accounting exactly like Run's
+// quantum loops.
 func (r *Runner) runChunk(p *process, mode Mode, budget uint64) (chunkOutcome, uint64, error) {
 	now := r.vnow()
 	if now >= r.sliceEnd {
@@ -293,44 +300,36 @@ func (r *Runner) runChunk(p *process, mode Mode, budget uint64) (chunkOutcome, u
 		k = budget
 	}
 	// The batch cap bounds the decode-ahead buffer, so it applies only
-	// to modes that materialize events. SkipScan and WarmScan walk the
-	// packed words in place; capping them would both re-pay the
+	// to calls that materialize events. SkipScan, WarmScan and StepScan
+	// walk the packed words in place; capping them would re-pay the
 	// skip-index residue walk every quantumBatchMax events and add call
-	// overhead, without changing where switches land (fast-forwarded
-	// instructions all pay the same uniform virtual-time charge, and
-	// both scans stop at syscalls on their own).
-	scan := false
-	switch mode {
-	case ModeSkip:
-		_, scan = p.src.(trace.SkipScanner)
-	case ModeWarm:
-		_, isCursor := p.src.(*trace.Cursor)
-		scan = isCursor && r.scanWarm != nil
-	case ModeMeasure:
-		// Measurement always materializes events.
-	}
-	if k > quantumBatchMax && !scan {
-		k = quantumBatchMax
-	}
-
+	// overhead, without changing where switches land (each scan stops
+	// at syscalls and at its cycle or instruction budget on its own).
+	cur, isCursor := p.src.(*trace.Cursor)
 	bs := p.src.(trace.BatchStream)
 	var (
 		n       int
 		syscall bool
 		err     error
 	)
-	switch mode {
-	case ModeWarm:
-		if cur, ok := p.src.(*trace.Cursor); ok && r.scanWarm != nil {
-			n, syscall, err = r.scanWarm.WarmScan(p.pid, cur, int(k))
-			if n == 0 && err == nil {
-				return r.terminated(p)
+	switch {
+	case mode == ModeSkip:
+		if ss, ok := p.src.(trace.SkipScanner); ok {
+			n, syscall = ss.SkipScan(int(min(k, math.MaxInt)))
+		} else {
+			evs := bs.Batch(int(min(k, quantumBatchMax)))
+			for n < len(evs) && !syscall {
+				syscall = evs[n].Syscall
+				n++
 			}
-			break
+			bs.Skip(n)
 		}
-		fallthrough
-	case ModeMeasure:
-		evs := bs.Batch(int(k))
+	case mode == ModeWarm && isCursor && r.scanWarm != nil:
+		n, syscall, err = r.scanWarm.WarmScan(p.pid, cur, int(min(k, math.MaxInt)))
+	case mode == ModeMeasure && isCursor && r.scan != nil:
+		n, syscall, err = r.scan.StepScan(p.pid, cur, int(min(k, math.MaxInt)))
+	default:
+		evs := bs.Batch(int(min(k, quantumBatchMax)))
 		if len(evs) == 0 {
 			return r.terminated(p)
 		}
@@ -340,23 +339,10 @@ func (r *Runner) runChunk(p *process, mode Mode, budget uint64) (chunkOutcome, u
 			n, err = r.warm.WarmBatch(p.pid, evs)
 		}
 		bs.Skip(n)
-		if n > 0 {
-			syscall = evs[n-1].Syscall
-		}
-	case ModeSkip:
-		if ss, ok := p.src.(trace.SkipScanner); ok {
-			n, syscall = ss.SkipScan(int(k))
-		} else {
-			evs := bs.Batch(int(k))
-			for n < len(evs) && !syscall {
-				syscall = evs[n].Syscall
-				n++
-			}
-			bs.Skip(n)
-		}
-		if n == 0 {
-			return r.terminated(p)
-		}
+		syscall = n > 0 && evs[n-1].Syscall
+	}
+	if n == 0 && err == nil {
+		return r.terminated(p)
 	}
 	if mode != ModeMeasure {
 		r.nominal += uint64(n) * r.nomCharge

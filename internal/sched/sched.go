@@ -11,6 +11,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mmu"
 	"repro/internal/trace"
@@ -44,6 +45,20 @@ type Target interface {
 type BatchTarget interface {
 	Target
 	StepBatch(pid mmu.PID, evs []trace.Event) (n int, err error)
+}
+
+// ScanTarget is a BatchTarget with a zero-decode fast path over
+// packed-trace cursors. StepScan(pid, c, max) must behave like
+// StepBatch over c's next max events, consuming the n it executes: the
+// same per-instruction semantics and the same early stops, after an
+// executed syscall (which it reports) and once the clock has advanced
+// at least max cycles, with max uncapped (no decode buffer is
+// involved); with max > 0, n == 0 means the cursor is exhausted. Run
+// and Runner use it automatically for processes whose stream is a
+// *trace.Cursor. *core.System and *stackdist.Analyzer satisfy it.
+type ScanTarget interface {
+	BatchTarget
+	StepScan(pid mmu.PID, c *trace.Cursor, max int) (n int, syscall bool, err error)
 }
 
 // Process names a benchmark trace to run.
@@ -219,19 +234,25 @@ func runQuantumSerial(target Target, p *process, res *Result, sliceEnd uint64, c
 
 // quantumBatchMax bounds one StepBatch call's event count, keeping the
 // slice handed to the target (and a Cursor's decode buffer) cache-sized
-// even for very long time slices.
+// even for very long time slices. A StepScan decodes in place, so it
+// has no such cap.
 const quantumBatchMax = 4096
 
 // runQuantumBatched runs one time slice of p through the batched fast
-// path: events are peeked in bulk from the stream and handed to the
-// target in slices sized so a batch can never run past the points where
-// the serial loop would stop — the batch is capped at (sliceEnd - now)
-// events, so its cycle budget expires exactly at sliceEnd; it is capped
-// at the instructions remaining under cfg.MaxInstructions; and the
-// target stops it after an executed syscall. Statistics updates are
-// identical to the serial path, but the per-process map counter is
-// written once per batch instead of once per instruction.
+// path: the target steps events in bulk, in calls sized so a call can
+// never run past the points where the serial loop would stop — it is
+// capped at (sliceEnd - now) events, so its cycle budget expires
+// exactly at sliceEnd; it is capped at the instructions remaining
+// under cfg.MaxInstructions; and the target stops it after an executed
+// syscall. A *trace.Cursor stream on a ScanTarget is stepped straight
+// from its packed words (StepScan); any other stream is peeked in
+// batches (Batch, StepBatch, Skip). Statistics updates are identical
+// to the serial path, but the per-process map counter is written once
+// per call instead of once per instruction.
 func runQuantumBatched(bt BatchTarget, bs trace.BatchStream, p *process, res *Result, sliceEnd uint64, cfg Config) (quantumOutcome, error) {
+	st, scan := bt.(ScanTarget)
+	cur, isCursor := bs.(*trace.Cursor)
+	scan = scan && isCursor
 	for {
 		now := bt.Now()
 		if now >= sliceEnd {
@@ -245,19 +266,28 @@ func runQuantumBatched(bt BatchTarget, bs trace.BatchStream, p *process, res *Re
 				k = rem
 			}
 		}
-		if k > quantumBatchMax {
-			k = quantumBatchMax
+		var (
+			n       int
+			syscall bool
+			err     error
+		)
+		if scan {
+			n, syscall, err = st.StepScan(p.pid, cur, int(min(k, math.MaxInt)))
+		} else {
+			evs := bs.Batch(int(min(k, quantumBatchMax)))
+			if len(evs) > 0 {
+				n, err = bt.StepBatch(p.pid, evs)
+				bs.Skip(n)
+				syscall = n > 0 && evs[n-1].Syscall
+			}
 		}
-		evs := bs.Batch(int(k))
-		if len(evs) == 0 {
+		if n == 0 {
 			if err := trace.StreamErr(bs); err != nil {
 				return quantumFailed, fmt.Errorf("sched: process %q: trace stream after %d instructions: %w",
 					p.name, res.PerProcess[p.name], err)
 			}
 			return quantumTerminated, nil
 		}
-		n, err := bt.StepBatch(p.pid, evs)
-		bs.Skip(n)
 		res.Instructions += uint64(n)
 		res.PerProcess[p.name] += uint64(n)
 		if err != nil {
@@ -267,7 +297,7 @@ func runQuantumBatched(bt BatchTarget, bs trace.BatchStream, p *process, res *Re
 		if cfg.MaxInstructions > 0 && res.Instructions >= cfg.MaxInstructions {
 			return quantumMaxed, nil
 		}
-		if !cfg.NoSyscallSwitch && evs[n-1].Syscall {
+		if !cfg.NoSyscallSwitch && syscall {
 			res.Switches++
 			res.SyscallSwitches++
 			return quantumSwitched, nil

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -93,6 +94,96 @@ func TestBatchedRunMatchesSerial(t *testing.T) {
 			if serialStats != gotStats {
 				t.Errorf("cfg %+v packed=%v: system stats diverged\nserial:  %+v\nbatched: %+v",
 					scfg, packed, serialStats, gotStats)
+			}
+		}
+	}
+}
+
+// hiddenCursor is a packed-trace cursor behind a plain BatchStream, so
+// the scheduler cannot see the *trace.Cursor and takes the event path
+// (Batch, then StepBatch, WarmBatch or a Syscall walk, then Skip)
+// instead of StepScan, WarmScan or SkipScan.
+type hiddenCursor struct{ c *trace.Cursor }
+
+func (h hiddenCursor) Next(ev *trace.Event) bool   { return h.c.Next(ev) }
+func (h hiddenCursor) Batch(max int) []trace.Event { return h.c.Batch(max) }
+func (h hiddenCursor) Skip(n int)                  { h.c.Skip(n) }
+
+// scanProcs packs the batch workload into cursors, hidden or not.
+func scanProcs(hide bool) []Process {
+	traces := batchWorkload(5000)
+	procs := make([]Process, len(traces))
+	for i, mt := range traces {
+		var s trace.Stream = trace.Pack(mt).NewCursor()
+		if hide {
+			s = hiddenCursor{s.(*trace.Cursor)}
+		}
+		procs[i] = Process{Name: []string{"alpha", "beta", "gamma"}[i], Stream: s}
+	}
+	return procs
+}
+
+// TestScanMatchesEventPath runs the same multiprogrammed workload over
+// packed cursors (the scan paths) and over the same cursors hidden
+// behind a plain BatchStream (the event paths), through Run and through
+// a Runner, and requires identical scheduling results, system
+// statistics and cache state. The Runner is driven in random budgets,
+// once in measure mode only and once mixing measure, warm and skip.
+func TestScanMatchesEventPath(t *testing.T) {
+	cfgs := []Config{
+		{TimeSlice: 2000},
+		{TimeSlice: 2000, NoSyscallSwitch: true},
+		{TimeSlice: 700, MaxInstructions: 9000},
+		{Level: 2, TimeSlice: 3000},
+		{TimeSlice: 1 << 62},
+	}
+	type outcome struct {
+		res   Result
+		stats core.Stats
+		fp    uint64
+	}
+	newSystem := func() *core.System {
+		sys, err := core.NewSystem(core.Base())
+		if err != nil {
+			t.Fatalf("NewSystem: %v", err)
+		}
+		return sys
+	}
+	run := func(scfg Config, hide bool) outcome {
+		sys := newSystem()
+		res, err := Run(sys, scanProcs(hide), scfg)
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return outcome{res, sys.Stats(), sys.CacheFingerprint()}
+	}
+	runner := func(scfg Config, hide, mixed bool) outcome {
+		sys := newSystem()
+		r, err := NewRunner(sys, scanProcs(hide), scfg)
+		if err != nil {
+			t.Fatalf("NewRunner: %v", err)
+		}
+		r.SetNominalCPI(2.3)
+		rng := rand.New(rand.NewSource(int64(scfg.TimeSlice)))
+		for !r.Done() {
+			mode := ModeMeasure
+			if mixed {
+				mode = Mode(rng.Intn(3))
+			}
+			if _, err := r.RunFor(1+uint64(rng.Intn(5000)), mode); err != nil {
+				t.Fatalf("RunFor: %v", err)
+			}
+		}
+		return outcome{r.Result(), sys.Stats(), sys.CacheFingerprint()}
+	}
+	for _, scfg := range cfgs {
+		if scan, events := run(scfg, false), run(scfg, true); !reflect.DeepEqual(scan, events) {
+			t.Errorf("Run, cfg %+v: scan path diverged\nscan:   %+v\nevents: %+v", scfg, scan, events)
+		}
+		for _, mixed := range []bool{false, true} {
+			if scan, events := runner(scfg, false, mixed), runner(scfg, true, mixed); !reflect.DeepEqual(scan, events) {
+				t.Errorf("Runner (mixed modes %v), cfg %+v: scan path diverged\nscan:   %+v\nevents: %+v",
+					mixed, scfg, scan, events)
 			}
 		}
 	}

@@ -21,11 +21,11 @@ type FilterStats struct {
 	L2IReads, L2DReads, L2DWrites uint64
 }
 
-// Analyzer is the one-pass engine. It implements sched.Target and
-// sched.BatchTarget, so it plugs into the same round-robin
-// multiplexing as the cycle-accurate core.System; Step never fails
-// (the analyzer has no invariant checker and no fault paths), so a
-// pass over a well-formed recording always completes.
+// Analyzer is the one-pass engine. It implements sched.Target,
+// sched.BatchTarget and sched.ScanTarget, so it plugs into the same
+// round-robin multiplexing as the cycle-accurate core.System; Step
+// never fails (the analyzer has no invariant checker and no fault
+// paths), so a pass over a well-formed recording always completes.
 type Analyzer struct {
 	cfg Config
 	mmu *mmu.MMU
@@ -79,7 +79,7 @@ func (a *Analyzer) Now() uint64 { return a.now }
 // Step analyzes one instruction (sched.Target). The error is always
 // nil; the signature satisfies the scheduler's contract.
 func (a *Analyzer) Step(pid mmu.PID, ev *trace.Event) error {
-	a.step(pid, ev)
+	a.execute(pid, ev.PC, ev.Data, ev.Kind, ev.Size, ev.Stall)
 	return nil
 }
 
@@ -93,7 +93,7 @@ func (a *Analyzer) StepBatch(pid mmu.PID, evs []trace.Event) (int, error) {
 	stop := a.now + uint64(len(evs))
 	for i := range evs {
 		ev := &evs[i]
-		a.step(pid, ev)
+		a.execute(pid, ev.PC, ev.Data, ev.Kind, ev.Size, ev.Stall)
 		if ev.Syscall || a.now >= stop {
 			return i + 1, nil
 		}
@@ -101,51 +101,95 @@ func (a *Analyzer) StepBatch(pid mmu.PID, evs []trace.Event) (int, error) {
 	return len(evs), nil
 }
 
-// step analyzes one instruction: the fetch, then the data reference.
-func (a *Analyzer) step(pid mmu.PID, ev *trace.Event) {
+// StepScan analyzes and consumes up to max events of process pid
+// straight from a packed cursor's words (sched.ScanTarget), with
+// core.System.StepScan's contract: StepBatch's early stops with max in
+// place of len(evs), syscall reporting a stop after a syscall, and,
+// with max > 0, n == 0 meaning the cursor is exhausted. The error is
+// always nil.
+func (a *Analyzer) StepScan(pid mmu.PID, c *trace.Cursor, max int) (n int, syscall bool, err error) {
+	stop := a.now + uint64(max)
+	// Consume the cursor's decoded read-ahead first; RawWords is only
+	// valid once no batched events are pending.
+	for pending := c.Pending(); n < max && n < len(pending); {
+		ev := &pending[n]
+		a.execute(pid, ev.PC, ev.Data, ev.Kind, ev.Size, ev.Stall)
+		n++
+		if ev.Syscall || a.now >= stop {
+			c.Skip(n)
+			return n, ev.Syscall, nil
+		}
+	}
+	c.Skip(n)
+	words, w, end := c.RawWords()
+	drained := n
+	for n < max && w < end {
+		pc, meta, data, next := trace.Decode(words, w)
+		w = next
+		n++
+		a.execute(pid, pc, data, trace.Kind(meta>>trace.MetaKindShift),
+			uint8(meta>>trace.MetaSizeShift), uint8(meta>>trace.MetaStallShift))
+		if syscall = meta&trace.MetaSyscallBit != 0; syscall || a.now >= stop {
+			break
+		}
+	}
+	c.RawAdvance(w, n-drained) // raw-consumed events only
+	return n, syscall, nil
+}
+
+// execute analyzes one instruction, the fetch and then the data
+// reference: the one per-instruction body behind Step, StepBatch and
+// StepScan. Same-page translations and the filter's hit probes inline,
+// so a filter hit costs no call beyond the stack updates.
+func (a *Analyzer) execute(pid mmu.PID, pc, data uint32, kind trace.Kind, size, stall uint8) {
 	a.instructions++
-	a.now += 1 + uint64(ev.Stall)
-	if p := int(pid); p > a.maxPID {
+	a.now += 1 + uint64(stall)
+	p := int(pid)
+	if p > a.maxPID {
 		a.maxPID = p
 	}
-	a.fetchInstruction(pid, ev.PC)
-	switch ev.Kind {
+	paddr, ok := a.mmu.SamePageI(pid, pc)
+	if !ok {
+		paddr, _ = a.mmu.TranslateI(pid, pc)
+	}
+	a.classes[ClassL1I].access(paddr, false, p)
+	a.filterStats.L1IAccesses++
+	if !a.filter.FetchHit(paddr) {
+		a.fetchFilter(paddr, p)
+	}
+	switch kind {
 	case trace.Load:
-		a.load(pid, ev.Data)
+		paddr, ok := a.mmu.SamePageD(pid, data)
+		if !ok {
+			paddr, _ = a.mmu.TranslateD(pid, data)
+		}
+		a.classes[ClassL1D].access(paddr, false, p)
+		a.filterStats.L1DReads++
+		if !a.filter.LoadHit(paddr) {
+			a.loadFilter(paddr, p)
+		}
 	case trace.Store:
-		a.store(pid, ev.Data, ev.Size)
+		a.store(pid, data, size)
 	case trace.None:
 		// Plain instruction: no data reference.
 	}
 }
 
-// fetchInstruction feeds the fetch to the ClassL1I stacks and to the
-// filter L1, whose misses feed the instruction side of the L2 stream.
-func (a *Analyzer) fetchInstruction(pid mmu.PID, vaddr uint32) {
-	paddr, ok := a.mmu.SamePageI(pid, vaddr)
-	if !ok {
-		paddr, _ = a.mmu.TranslateI(pid, vaddr)
-	}
-	p := int(pid)
-	a.classes[ClassL1I].access(paddr, false, p)
-	a.filterStats.L1IAccesses++
+// fetchFilter feeds an instruction fetch that FetchHit could not answer
+// to the filter L1, whose misses feed the instruction side of the L2
+// stream.
+func (a *Analyzer) fetchFilter(paddr uint64, pid int) {
 	o := a.filter.Fetch(paddr)
 	if o == nil {
 		return
 	}
 	a.filterStats.L1IMisses++
-	a.l2Traffic(o, p, true)
+	a.l2Traffic(o, pid, true)
 }
 
-// load feeds a data read to the ClassL1D stacks and the filter L1.
-func (a *Analyzer) load(pid mmu.PID, vaddr uint32) {
-	paddr, ok := a.mmu.SamePageD(pid, vaddr)
-	if !ok {
-		paddr, _ = a.mmu.TranslateD(pid, vaddr)
-	}
-	p := int(pid)
-	a.classes[ClassL1D].access(paddr, false, p)
-	a.filterStats.L1DReads++
+// loadFilter feeds a data read that LoadHit could not answer to the
+// filter L1.
+func (a *Analyzer) loadFilter(paddr uint64, pid int) {
 	o := a.filter.Load(paddr)
 	if o == nil {
 		return
@@ -159,7 +203,7 @@ func (a *Analyzer) load(pid mmu.PID, vaddr uint32) {
 		// A plain read miss.
 	}
 	a.filterStats.L1DReadMisses++
-	a.l2Traffic(o, p, false)
+	a.l2Traffic(o, pid, false)
 }
 
 // store feeds a data write to the ClassL1D stacks and the filter L1.

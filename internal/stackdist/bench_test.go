@@ -33,3 +33,23 @@ func BenchmarkAnalyzerStep(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/instr")
 }
+
+// BenchmarkAnalyzerStepScan is BenchmarkAnalyzerStep through the scan
+// path: the same stream, packed, analyzed straight from its words.
+func BenchmarkAnalyzerStepScan(b *testing.B) {
+	rec := trace.Pack(synth.New(synth.Config{Instructions: 100_000, Seed: 7}))
+	a, err := stackdist.New(experiments.ScreeningGrid())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for cur := rec.NewCursor(); ; {
+			n, _, _ := a.StepScan(1, cur, rec.Len())
+			if n == 0 {
+				break
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rec.Len()), "ns/instr")
+}

@@ -66,6 +66,8 @@ var fullCoverageIntervals = []uint64{1_000, 1_500, 2_000, 2_500, 3_000, 5_000, 7
 //     write-back, where the grid's write-allocate LRU model is the
 //     real L1-D) its L1-D grid point equal the exact engine's counts as
 //     integers.
+//   - The exact engine stepping packed words (StepScan) equals it
+//     stepping materialized events (StepBatch).
 //   - Sampling at 100% coverage (Period == Interval) measures exactly
 //     the exact engine's Stats.
 //   - WarmScan and WarmBatch leave identical cache state.
@@ -128,6 +130,22 @@ func FuzzEngines(f *testing.F) {
 		if _, err := sched.Run(sys, procs(), scfg); err != nil {
 			t.Fatalf("exact run: %v", err)
 		}
+		// The exact run steps the cursors straight from their packed
+		// words; the same run over materialized events must agree.
+		evSys, err := core.NewSystem(cfg)
+		if err != nil {
+			t.Fatalf("NewSystem: %v", err)
+		}
+		evProcs := procs()
+		for i := range evProcs {
+			evProcs[i].Stream = eventStream{evProcs[i].Stream.(*trace.Cursor)}
+		}
+		if _, err := sched.Run(evSys, evProcs, scfg); err != nil {
+			t.Fatalf("exact run over events: %v", err)
+		}
+		if got, want := sys.Stats(), evSys.Stats(); got != want {
+			t.Errorf("exact by scan diverged from exact by events:\nevents: %+v\nscan:   %+v", want, got)
+		}
 		interval := fullCoverageIntervals[seed%uint64(len(fullCoverageIntervals))]
 		sampled, err := sample.Run(cfg, procs(), scfg, sample.Config{Interval: interval, Period: interval})
 		if err != nil {
@@ -147,6 +165,14 @@ func FuzzEngines(f *testing.F) {
 		}
 	})
 }
+
+// eventStream hides a packed-trace cursor behind a plain BatchStream,
+// so the scheduler steps its events through StepBatch, not StepScan.
+type eventStream struct{ c *trace.Cursor }
+
+func (e eventStream) Next(ev *trace.Event) bool   { return e.c.Next(ev) }
+func (e eventStream) Batch(max int) []trace.Event { return e.c.Batch(max) }
+func (e eventStream) Skip(n int)                  { e.c.Skip(n) }
 
 // compareScreening lines one analyzer pass up against the exact run of
 // the same configuration.

@@ -43,9 +43,10 @@ type Recorded struct {
 const skipIndexBlock = 4096
 
 // Event tags (low two bits of the leading word). Exported, with the
-// meta-word layout below, for zero-decode scanners over RawWords (the
-// functional-warming fast path in internal/core); everything else
-// should consume events through Next/Batch.
+// meta-word layout below, for zero-decode scanners over RawWords with
+// Decode (the scan paths of the exact, warming and screening engines in
+// internal/core and internal/stackdist); everything else should consume
+// events through Next/Batch.
 const (
 	TagMask  = 3
 	TagPlain = 0 // PC word only
@@ -67,13 +68,31 @@ func Pack(s Stream) *Recorded {
 	r := &Recorded{}
 	var ev Event
 	for s.Next(&ev) {
-		r.Append(&ev)
+		r.add(&ev)
 	}
+	r.pad()
 	return r
 }
 
+// padWords is the number of zero words kept after the last event of a
+// packed recording. An event is at most four words, so with the padding
+// every event start w satisfies w+4 <= len(words) and Decode can load
+// all four candidate words unconditionally, with no careful tail for
+// the last events.
+const padWords = 3
+
 // Append adds one event to the end of the recording.
 func (r *Recorded) Append(ev *Event) {
+	r.words = r.words[:r.end()]
+	r.add(ev)
+	r.pad()
+}
+
+// pad appends the zero padding after the last event.
+func (r *Recorded) pad() { r.words = append(r.words, make([]uint32, padWords)...) }
+
+// add encodes one event after the last one, with the padding removed.
+func (r *Recorded) add(ev *Event) {
 	if r.n%skipIndexBlock == 0 {
 		r.blockWord = append(r.blockWord, len(r.words))
 	}
@@ -99,52 +118,52 @@ func (r *Recorded) Append(ev *Event) {
 	r.n++
 }
 
+// end returns the index one past the last event's final word: the
+// start of the zero padding.
+func (r *Recorded) end() int { return max(0, len(r.words)-padWords) }
+
 // Len returns the number of recorded events.
 func (r *Recorded) Len() int { return r.n }
 
-// Bytes returns the packed size of the recording in bytes.
-func (r *Recorded) Bytes() int { return len(r.words) * 4 }
+// Bytes returns the packed size of the recording's events in bytes.
+func (r *Recorded) Bytes() int { return r.end() * 4 }
 
-// decode expands the event starting at word i into *ev and returns the
-// index of the next event's first word.
-func (r *Recorded) decode(i int, ev *Event) int {
-	w0 := r.words[i]
-	switch w0 & 3 {
-	case TagPlain:
-		*ev = Event{PC: w0}
-		return i + 1
-	case TagMeta:
-		m := r.words[i+1]
-		*ev = Event{
-			PC:      w0 &^ 3,
-			Kind:    Kind(m >> MetaKindShift),
-			Size:    uint8(m >> MetaSizeShift),
-			Stall:   uint8(m >> MetaStallShift),
-			Syscall: m&MetaSyscallBit != 0,
-		}
-		return i + 2
-	case TagData:
-		m := r.words[i+1]
-		*ev = Event{
-			PC:      w0 &^ 3,
-			Data:    r.words[i+2],
-			Kind:    Kind(m >> MetaKindShift),
-			Size:    uint8(m >> MetaSizeShift),
-			Stall:   uint8(m >> MetaStallShift),
-			Syscall: m&MetaSyscallBit != 0,
-		}
-		return i + 3
-	default: // TagRaw
-		m := r.words[i+1]
-		*ev = Event{
-			PC:      r.words[i+3],
-			Data:    r.words[i+2],
-			Kind:    Kind(m >> MetaKindShift),
-			Size:    uint8(m >> MetaSizeShift),
-			Stall:   uint8(m >> MetaStallShift),
-			Syscall: m&MetaSyscallBit != 0,
-		}
-		return i + 4
+// Decode decodes the event whose first word is words[w]: its PC, its
+// meta word (zero for a plain instruction), its data address (zero when
+// the encoding omits it: a plain or meta-tagged event, including a load
+// or store of address 0), and the index of the next event's first
+// word. It loads all four candidate words and lets the tag select among
+// them: conditional moves for the plain, meta and data tags, so a mixed
+// stream of those costs the branch predictor nothing, and one branch for
+// the rare raw escape (an unaligned PC). It inlines into every scanner.
+// words[w:w+4] must be in range, which the padding guarantees for every
+// event start of a Recorded (see Cursor.RawWords).
+func Decode(words []uint32, w int) (pc, meta, data uint32, next int) {
+	ws := words[w : w+4]
+	w0 := ws[0]
+	adv := int(w0&TagMask) + 1
+	pc, meta, data = w0&^TagMask, ws[1], ws[2]
+	if adv == 1 {
+		meta = 0
+	}
+	if adv < 3 {
+		data = 0
+	}
+	if adv == 4 {
+		pc = ws[3]
+	}
+	return pc, meta, data, w + adv
+}
+
+// eventOf expands decoded words into an Event.
+func eventOf(pc, meta, data uint32) Event {
+	return Event{
+		PC:      pc,
+		Data:    data,
+		Kind:    Kind(meta >> MetaKindShift),
+		Size:    uint8(meta >> MetaSizeShift),
+		Stall:   uint8(meta >> MetaStallShift),
+		Syscall: meta&MetaSyscallBit != 0,
 	}
 }
 
@@ -177,10 +196,12 @@ func (c *Cursor) Next(ev *Event) bool {
 		c.pos++
 		return true
 	}
-	if c.w >= len(c.r.words) {
+	if c.w >= c.r.end() {
 		return false
 	}
-	c.w = c.r.decode(c.w, ev)
+	pc, meta, data, next := Decode(c.r.words, c.w)
+	*ev = eventOf(pc, meta, data)
+	c.w = next
 	c.wEv++
 	return true
 }
@@ -206,41 +227,15 @@ func (c *Cursor) Batch(max int) []Event {
 	if cap(c.buf) < max {
 		c.buf = make([]Event, max)
 	}
-	// This loop is the replay hot path of a sweep: it decodes straight
-	// into pre-sized buffer slots (no append, no intermediate Event
-	// copy) with the word stream held in locals. It is a manual inline
-	// of decode; keep the two in sync.
+	// The replay hot path of the event interface: decode straight into
+	// pre-sized buffer slots, with the word stream held in locals.
 	buf := c.buf[:max]
-	words := c.r.words
+	words, end := c.r.words, c.r.end()
 	w, n := c.w, 0
-	for n < len(buf) && w < len(words) {
-		w0 := words[w]
-		tag := w0 & 3
-		if tag == TagPlain {
-			buf[n] = Event{PC: w0}
-			w++
-			n++
-			continue
-		}
-		m := words[w+1]
-		ev := Event{
-			PC:      w0 &^ 3,
-			Kind:    Kind(m >> MetaKindShift),
-			Size:    uint8(m >> MetaSizeShift),
-			Stall:   uint8(m >> MetaStallShift),
-			Syscall: m&MetaSyscallBit != 0,
-		}
-		switch tag {
-		case TagMeta:
-			w += 2
-		case TagData:
-			ev.Data = words[w+2]
-			w += 3
-		default: // TagRaw
-			ev.Data, ev.PC = words[w+2], words[w+3]
-			w += 4
-		}
-		buf[n] = ev
+	for n < len(buf) && w < end {
+		pc, meta, data, next := Decode(words, w)
+		buf[n] = eventOf(pc, meta, data)
+		w = next
 		n++
 	}
 	c.w = w
@@ -260,12 +255,14 @@ func (c *Cursor) Skip(n int) { c.pos += n }
 // already decoded past.
 func (c *Cursor) Pending() []Event { return c.buf[c.pos:] }
 
-// RawWords exposes the packed word stream and the index of the
-// cursor's next undecoded word, for zero-decode scanning (see the Tag*
-// and Meta* constants for the layout). Only valid when Pending is
-// empty. The scanner must report its progress with RawAdvance before
-// any other cursor call.
-func (c *Cursor) RawWords() (words []uint32, w int) { return c.r.words, c.w }
+// RawWords exposes the packed word stream, the index of the cursor's
+// next undecoded word, and the index one past the last event's final
+// word, for zero-decode scanning with Decode (see the Tag* and Meta*
+// constants for the layout). Every w < end is decodable without a
+// bounds concern: the stream carries zero padding after end. Only
+// valid when Pending is empty. The scanner must report its progress
+// with RawAdvance before any other cursor call.
+func (c *Cursor) RawWords() (words []uint32, w, end int) { return c.r.words, c.w, c.r.end() }
 
 // RawAdvance commits a raw scan: the cursor's next undecoded word
 // becomes w, and n events are accounted as consumed. w and n must
