@@ -39,13 +39,16 @@ fmtcheck:
 # under the race detector, and short fuzz smokes over the trace-file
 # reader and the three engines' agreement (FuzzEngines: screening equals
 # exact, functional warming equals a full replay, on random L1
-# geometries, write policies and synthetic traces).
+# geometries, write policies and synthetic traces). Last, the benchmark
+# module in perfbench/ (its own go.mod, so ./... does not reach it) is
+# vetted and self-tested, so a change cannot break its build unnoticed.
 verify: lint fmtcheck
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=10s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzEngines -fuzztime=10s ./internal/stackdist
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=5m ./internal/trace

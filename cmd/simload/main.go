@@ -103,9 +103,9 @@ func parseFidelityMix(s string) ([]fidWeight, error) {
 // supportsFidelity reports whether experiment id can run at fidelity f.
 func supportsFidelity(id, f string) bool {
 	switch f {
-	case service.FidelityScreening:
+	case experiments.FidelityScreening:
 		return experiments.SupportsScreening(id)
-	case service.FidelitySampled:
+	case experiments.FidelitySampled:
 		return experiments.SupportsSampled(id)
 	}
 	return true
@@ -125,7 +125,6 @@ func run() error {
 		brkFails   = flag.Int("breaker-threshold", 8, "consecutive failures that open the circuit breaker (-1 disables)")
 		brkCool    = flag.Duration("breaker-cooldown", 2*time.Second, "how long an open breaker fails fast before probing")
 		mixFlag    = flag.String("fidelity-mix", "", `fidelity traffic mix, e.g. "exact=0.5,screening=0.3,sampled=0.2" (weights renormalized; empty = exact only)`)
-		screening  = flag.Bool("screening", false, `deprecated alias for -fidelity-mix "exact=0.5,screening=0.5"`)
 	)
 	flag.Parse()
 	switch {
@@ -145,13 +144,7 @@ func run() error {
 	// then a zipf-ranked (experiment, scale) pair from that fidelity's
 	// universe. Distinct fidelities are distinct cache keys, so the
 	// daemon's cache holds the populations side by side.
-	mix := []fidWeight{{service.FidelityExact, 1}}
-	if *screening && *mixFlag != "" {
-		return fmt.Errorf("-screening is a deprecated alias for -fidelity-mix; give only one")
-	}
-	if *screening {
-		*mixFlag = "exact=0.5,screening=0.5"
-	}
+	mix := []fidWeight{{experiments.FidelityExact, 1}}
 	if *mixFlag != "" {
 		var err error
 		if mix, err = parseFidelityMix(*mixFlag); err != nil {

@@ -3,7 +3,7 @@ package main
 import (
 	"testing"
 
-	"repro/internal/service"
+	"repro/internal/experiments"
 )
 
 func TestParseFidelityMix(t *testing.T) {
@@ -55,11 +55,11 @@ func TestSupportsFidelity(t *testing.T) {
 		id, f string
 		want  bool
 	}{
-		{"fig3", service.FidelityExact, true},
-		{"fastsweep", service.FidelityScreening, true},
-		{"fig2", service.FidelityScreening, false},
-		{"fig2", service.FidelitySampled, true},
-		{"fig3", service.FidelitySampled, false},
+		{"fig3", experiments.FidelityExact, true},
+		{"fastsweep", experiments.FidelityScreening, true},
+		{"fig2", experiments.FidelityScreening, false},
+		{"fig2", experiments.FidelitySampled, true},
+		{"fig3", experiments.FidelitySampled, false},
 	}
 	for _, c := range cases {
 		if got := supportsFidelity(c.id, c.f); got != c.want {

@@ -1,7 +1,7 @@
 // Tapes demonstrates the pixie-style trace workflow: record a
 // benchmark's address trace to a tape file, characterize it (the
-// Table 1 columns), sample it down, and replay both against the same
-// cache to see what sampling does to measured miss ratios.
+// Table 1 columns), then replay it in full and by interval sampling
+// against the same cache to compare the two estimates.
 //
 //	go run ./examples/tapes
 package main
@@ -14,6 +14,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/progs"
+	"repro/internal/sample"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -51,16 +53,23 @@ func main() {
 	}
 	fmt.Println("characterization:", trace.Characterize(tape.Clone()))
 
-	// Replay the full tape and a 1-in-4 windowed sample against the
-	// base architecture.
+	// Replay the full tape, then sample the packed tape on the same base
+	// architecture: one 10k-instruction interval measured per 100k,
+	// with the gaps between them skipped and functionally warmed.
 	full := replay(tape.Clone())
-	sampled := replay(trace.Window(tape.Clone(), 25_000, 100_000))
+	procs := []sched.Process{{Name: bench.Name, Stream: trace.Pack(tape.Clone()).NewCursor()}}
+	smp, err := sample.Run(core.Base(), procs, sched.Config{}, sample.Config{Interval: 10_000, Period: 100_000})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("\n%-22s %12s %12s %12s\n", "", "L1-D miss", "L2 miss", "CPI")
 	fmt.Printf("%-22s %12.4f %12.4f %12.3f\n", "full tape", full.L1DMissRatio(), full.L2MissRatio(), full.CPI())
-	fmt.Printf("%-22s %12.4f %12.4f %12.3f\n", "windowed 1-in-4", sampled.L1DMissRatio(), sampled.L2MissRatio(), sampled.CPI())
-	fmt.Println("\n(windowed sampling inflates miss ratios at each window start —")
-	fmt.Println(" the cold-start bias the era's long-trace papers warned about)")
+	fmt.Printf("%-22s %12.4f %12.4f %12.3f\n", "sampled", smp.Measured.L1DMissRatio(), smp.Measured.L2MissRatio(), smp.Measured.CPI())
+	fmt.Printf("%-22s %12s %12s %5.3f-%5.3f\n", "  95% CI", "", "", smp.CPI.CI95Lo, smp.CPI.CI95Hi)
+	fmt.Printf("\n(%d intervals measured %d of %d instructions; the warming before each\n",
+		smp.Intervals, smp.MeasuredInstructions, smp.TotalInstructions)
+	fmt.Println(" interval rebuilds L1 state well but the large L2 only in part)")
 
 	os.Remove(path)
 }

@@ -362,17 +362,6 @@ func (c *Coordinator) forward(ctx context.Context, path string, body []byte, key
 
 // --- HTTP helpers ----------------------------------------------------
 
-func coordWriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fmt.Fprintf(w, `{"error":"encode: %s"}`, err)
-		return
-	}
-	w.Write(append(data, '\n'))
-}
-
 // coordFail maps a routing error onto the status a resilient client
 // expects: empty ring and drain are 503 (retry later, elsewhere), a
 // fully failed scatter is 502 (the cluster is unhealthy, retryable),
@@ -395,7 +384,7 @@ func (c *Coordinator) coordFail(w http.ResponseWriter, err error) {
 	case http.StatusBadGateway:
 		w.Header().Set("Retry-After", "1")
 	}
-	coordWriteJSON(w, status, struct {
+	service.WriteJSON(w, status, struct {
 		Error string `json:"error"`
 	}{err.Error()})
 }
@@ -458,7 +447,7 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "2")
 	}
-	coordWriteJSON(w, status, body)
+	service.WriteJSON(w, status, body)
 }
 
 // ClusterWorker is one worker's row in the /v1/cluster report: the
@@ -500,7 +489,7 @@ func (c *Coordinator) handleCluster(w http.ResponseWriter, r *http.Request) {
 		}
 		workers = append(workers, cw)
 	}
-	coordWriteJSON(w, http.StatusOK, ClusterState{
+	service.WriteJSON(w, http.StatusOK, ClusterState{
 		CodeVersion: service.CodeVersion,
 		Vnodes:      c.opts.Vnodes,
 		Replicas:    c.opts.Replicas,
@@ -531,7 +520,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		per[id] = *wc
 	}
 	c.mu.Unlock()
-	coordWriteJSON(w, http.StatusOK, MetricsSnapshot{
+	service.WriteJSON(w, http.StatusOK, MetricsSnapshot{
 		UptimeSeconds: coordNow().Sub(c.start).Seconds(),
 		Requests:      c.requests.Load(),
 		Errors:        c.errors.Load(),
@@ -717,7 +706,7 @@ func (c *Coordinator) handleGrid(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	coordWriteJSON(w, http.StatusOK, GridResponse{
+	service.WriteJSON(w, http.StatusOK, GridResponse{
 		CodeVersion: service.CodeVersion,
 		Count:       len(entries),
 		Entries:     entries,
@@ -754,7 +743,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if joined {
 		status = "joined"
 	}
-	coordWriteJSON(w, http.StatusOK, RegisterResponse{
+	service.WriteJSON(w, http.StatusOK, RegisterResponse{
 		Status:            status,
 		HeartbeatSeconds:  (c.opts.HeartbeatTTL / 3).Seconds(),
 		MembershipVersion: c.members.Version(),

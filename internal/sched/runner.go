@@ -13,17 +13,19 @@ import (
 type Mode uint8
 
 const (
-	// ModeMeasure drives the target cycle-accurately via StepScan over
-	// packed-trace cursors, StepBatch otherwise — identical semantics to
-	// Run's batched quantum path.
+	// ModeMeasure drives the target cycle-accurately: StepScan over
+	// packed-trace cursors, StepBatch over other batch streams, and Step
+	// one event at a time when the target or the stream has no batch
+	// form. All three stop at the same points.
 	ModeMeasure Mode = iota
 	// ModeWarm advances architectural state functionally via WarmBatch:
 	// caches and TLB stay warm, but no cycles are charged; the virtual
 	// clock advances at the configured nominal CPI instead.
 	ModeWarm
 	// ModeSkip fast-forwards the trace without touching the target at
-	// all (SkipScan when the stream supports it), advancing the virtual
-	// clock at the nominal CPI. Syscall boundaries are still honored.
+	// all (Cursor.SkipScan over packed-trace cursors), advancing the
+	// virtual clock at the nominal CPI. Syscall boundaries are still
+	// honored.
 	ModeSkip
 )
 
@@ -69,13 +71,13 @@ type ScanWarmTarget interface {
 // accumulation would make switch points depend on summation order).
 const nomCPIScale = 256
 
-// Runner is a resumable round-robin scheduler: the same multiprogramming
-// model as Run (level, time slices, syscall switches, process
-// replacement), but advanced in caller-controlled instruction budgets
-// at a caller-controlled fidelity per call. Sampled simulation uses it
-// to alternate skip → warm → measure phases over one workload while
-// preserving quantum state (a measurement interval can start and end
-// mid-quantum, exactly where a full replay would be).
+// Runner is the resumable round-robin scheduler behind Run (level, time
+// slices, syscall switches, process replacement), advanced in
+// caller-controlled instruction budgets at a caller-controlled fidelity
+// per call. Sampled simulation uses it to alternate skip → warm →
+// measure phases over one workload while preserving quantum state (a
+// measurement interval can start and end mid-quantum, exactly where a
+// full replay would be).
 //
 // Time-slice accounting runs on a virtual clock: the target's real
 // cycle count plus a nominal charge for every skipped or warmed
@@ -83,13 +85,12 @@ const nomCPIScale = 256
 // fast-forward therefore tracks the measured CPI instead of freezing
 // (which would let a slice never expire) or ticking at the wrong rate.
 type Runner struct {
-	target   BatchTarget
+	target   Target
+	batch    BatchTarget    // nil if the target cannot step a batch
 	scan     ScanTarget     // nil if the target cannot raw-scan to measure
 	warm     WarmTarget     // nil if the target cannot warm
 	scanWarm ScanWarmTarget // nil if the target cannot raw-scan to warm
-	cfg      Config
-	level    int
-	slice    uint64
+	cfg      Config         // Level and TimeSlice defaulted
 
 	res     Result
 	active  []*process
@@ -104,6 +105,18 @@ type Runner struct {
 	inSlice   bool   // a quantum is in progress (sliceEnd is valid)
 	done      bool
 	err       error
+	ev        trace.Event // the per-event path's decode slot
+}
+
+// process is one live process. bs and cur cache the stream's batch and
+// packed-cursor forms (nil when it has none), which pick the stepping
+// path.
+type process struct {
+	name string
+	pid  mmu.PID
+	src  trace.Stream
+	bs   trace.BatchStream
+	cur  *trace.Cursor
 }
 
 // NewRunner builds a resumable scheduler over procs. Every process
@@ -116,51 +129,52 @@ func NewRunner(target BatchTarget, procs []Process, cfg Config) (*Runner, error)
 			return nil, fmt.Errorf("sched: runner process %q: stream %T does not implement trace.BatchStream", p.Name, p.Stream)
 		}
 	}
-	level := cfg.Level
-	if level <= 0 {
-		level = 8
+	return newRunner(target, procs, cfg), nil
+}
+
+// newRunner builds a Runner over any target and streams. Warm and skip
+// modes need what NewRunner checks for; measure mode, all Run uses,
+// steps event by event where a batch form is missing.
+func newRunner(target Target, procs []Process, cfg Config) *Runner {
+	if cfg.Level <= 0 {
+		cfg.Level = 8
 	}
-	slice := cfg.TimeSlice
-	if slice == 0 {
-		slice = DefaultTimeSlice
+	if cfg.TimeSlice == 0 {
+		cfg.TimeSlice = DefaultTimeSlice
 	}
 	r := &Runner{
 		target:    target,
 		cfg:       cfg,
-		level:     level,
-		slice:     slice,
 		res:       Result{PerProcess: make(map[string]uint64)},
 		pending:   procs,
 		nextPID:   1,
 		nomCharge: nomCPIScale, // nominal CPI 1.0 until the caller measures
 	}
-	if st, ok := target.(ScanTarget); ok {
-		r.scan = st
-	}
-	if wt, ok := target.(WarmTarget); ok {
-		r.warm = wt
-	}
-	if st, ok := target.(ScanWarmTarget); ok {
-		r.scanWarm = st
-	}
-	for len(r.active) < r.level && len(r.pending) > 0 {
+	r.batch, _ = target.(BatchTarget)
+	r.scan, _ = target.(ScanTarget)
+	r.warm, _ = target.(WarmTarget)
+	r.scanWarm, _ = target.(ScanWarmTarget)
+	for len(r.active) < r.cfg.Level && len(r.pending) > 0 {
 		r.start()
 	}
 	r.startV = r.vnow()
 	if len(r.active) == 0 {
 		r.done = true
 	}
-	return r, nil
+	return r
 }
 
-// start admits the next pending process, mirroring Run.
+// start admits the next pending process under the next PID.
 func (r *Runner) start() {
 	if len(r.pending) == 0 {
 		return
 	}
 	p := r.pending[0]
 	r.pending = r.pending[1:]
-	r.active = append(r.active, &process{name: p.Name, pid: r.nextPID, src: p.Stream})
+	np := &process{name: p.Name, pid: r.nextPID, src: p.Stream}
+	np.bs, _ = p.Stream.(trace.BatchStream)
+	np.cur, _ = p.Stream.(*trace.Cursor)
+	r.active = append(r.active, np)
 	r.nextPID++
 	if r.nextPID == 0 {
 		r.nextPID = 1
@@ -223,7 +237,7 @@ func (r *Runner) RunFor(budget uint64, mode Mode) (uint64, error) {
 		}
 		p := r.active[r.cur]
 		if !r.inSlice {
-			r.sliceEnd = r.vnow() + r.slice
+			r.sliceEnd = r.vnow() + r.cfg.TimeSlice
 			r.inSlice = true
 		}
 		out, n, err := r.runChunk(p, mode, budget-ran)
@@ -261,11 +275,16 @@ const (
 	chunkFailed
 )
 
+// quantumBatchMax bounds one StepBatch call's event count, keeping the
+// slice handed to the target (and a Cursor's decode buffer) cache-sized
+// even for very long time slices.
+const quantumBatchMax = 4096
+
 // runChunk performs one bounded batch of p in the given mode: at most
 // budget instructions, at most the current quantum's remaining virtual
 // cycles, and at most quantumBatchMax events when it materializes
-// them. It updates instruction and switch accounting exactly like Run's
-// quantum loops.
+// them. It stops early after an executed syscall, and updates
+// instruction and switch accounting.
 func (r *Runner) runChunk(p *process, mode Mode, budget uint64) (chunkOutcome, uint64, error) {
 	now := r.vnow()
 	if now >= r.sliceEnd {
@@ -305,40 +324,39 @@ func (r *Runner) runChunk(p *process, mode Mode, budget uint64) (chunkOutcome, u
 	// skip-index residue walk every quantumBatchMax events and add call
 	// overhead, without changing where switches land (each scan stops
 	// at syscalls and at its cycle or instruction budget on its own).
-	cur, isCursor := p.src.(*trace.Cursor)
-	bs := p.src.(trace.BatchStream)
+	kmax := int(min(k, math.MaxInt))
 	var (
 		n       int
 		syscall bool
 		err     error
 	)
 	switch {
+	case mode == ModeSkip && p.cur != nil:
+		n, syscall = p.cur.SkipScan(kmax)
 	case mode == ModeSkip:
-		if ss, ok := p.src.(trace.SkipScanner); ok {
-			n, syscall = ss.SkipScan(int(min(k, math.MaxInt)))
-		} else {
-			evs := bs.Batch(int(min(k, quantumBatchMax)))
-			for n < len(evs) && !syscall {
-				syscall = evs[n].Syscall
-				n++
-			}
-			bs.Skip(n)
+		evs := p.bs.Batch(min(kmax, quantumBatchMax))
+		for n < len(evs) && !syscall {
+			syscall = evs[n].Syscall
+			n++
 		}
-	case mode == ModeWarm && isCursor && r.scanWarm != nil:
-		n, syscall, err = r.scanWarm.WarmScan(p.pid, cur, int(min(k, math.MaxInt)))
-	case mode == ModeMeasure && isCursor && r.scan != nil:
-		n, syscall, err = r.scan.StepScan(p.pid, cur, int(min(k, math.MaxInt)))
+		p.bs.Skip(n)
+	case mode == ModeWarm && p.cur != nil && r.scanWarm != nil:
+		n, syscall, err = r.scanWarm.WarmScan(p.pid, p.cur, kmax)
+	case mode == ModeMeasure && p.cur != nil && r.scan != nil:
+		n, syscall, err = r.scan.StepScan(p.pid, p.cur, kmax)
+	case mode == ModeMeasure && (p.bs == nil || r.batch == nil):
+		n, syscall, err = r.stepEach(p, kmax)
 	default:
-		evs := bs.Batch(int(min(k, quantumBatchMax)))
+		evs := p.bs.Batch(min(kmax, quantumBatchMax))
 		if len(evs) == 0 {
 			return r.terminated(p)
 		}
 		if mode == ModeMeasure {
-			n, err = r.target.StepBatch(p.pid, evs)
+			n, err = r.batch.StepBatch(p.pid, evs)
 		} else {
 			n, err = r.warm.WarmBatch(p.pid, evs)
 		}
-		bs.Skip(n)
+		p.bs.Skip(n)
 		syscall = n > 0 && evs[n-1].Syscall
 	}
 	if n == 0 && err == nil {
@@ -367,6 +385,26 @@ func (r *Runner) runChunk(p *process, mode Mode, budget uint64) (chunkOutcome, u
 		return chunkSwitched, uint64(n), nil
 	}
 	return chunkRunning, uint64(n), nil
+}
+
+// stepEach is measure mode for targets without StepBatch or streams
+// without Batch: it steps p one event at a time, at most max events,
+// stopping after a fault, after a syscall, or once the quantum's
+// deadline is reached, and counts a faulting event as executed. A
+// stream that runs out ends the call short; the next call then finds
+// it exhausted (n == 0), as the Stream contract allows.
+func (r *Runner) stepEach(p *process, max int) (n int, syscall bool, err error) {
+	for n < max && p.src.Next(&r.ev) {
+		err = r.target.Step(p.pid, &r.ev)
+		n++
+		if err != nil || r.ev.Syscall {
+			return n, r.ev.Syscall, err
+		}
+		if r.vnow() >= r.sliceEnd {
+			break
+		}
+	}
+	return n, false, nil
 }
 
 // terminated handles an exhausted stream: a stream error fails the run,

@@ -82,6 +82,14 @@ func TestBatchedRunMatchesSerial(t *testing.T) {
 		{TimeSlice: 2000, NoSyscallSwitch: true},
 		{TimeSlice: 700, MaxInstructions: 9000},
 		{Level: 2, TimeSlice: 3000},
+		// Quantum edges: a switch after every instruction, one process
+		// at a time on the default slice, and a slice that never expires.
+		{TimeSlice: 1},
+		{Level: 1},
+		{TimeSlice: 1 << 62},
+		// Every trace has a syscall at event 810, so the run stops on
+		// beta's first syscall, right after alpha's switched to it.
+		{TimeSlice: 1 << 40, MaxInstructions: 2 * 811},
 	}
 	for _, scfg := range cfgs {
 		serialRes, serialStats := runWorkload(t, false, false, scfg)

@@ -42,18 +42,6 @@ import (
 // not invalidate results.
 const CodeVersion = "gaascache-sim/3"
 
-// Fidelity values for SweepRequest. Exact runs the cycle-accurate
-// simulator; screening runs the one-pass stack-distance analyzer
-// (internal/stackdist), which sweeps a whole configuration grid in a
-// single trace replay; sampled runs the interval-sampling engine
-// (internal/sample), which measures a systematic sample of each run and
-// reports every CPI with a 95% confidence interval.
-const (
-	FidelityExact     = experiments.FidelityExact
-	FidelityScreening = experiments.FidelityScreening
-	FidelitySampled   = experiments.FidelitySampled
-)
-
 // WorkerHeader names the fabric worker that served a result. A worker
 // daemon (Options.WorkerID) stamps it on every result response; the
 // coordinator forwards it verbatim, so a client always learns which
@@ -104,7 +92,7 @@ func (r SweepRequest) normalize() SweepRequest {
 		r.Level = 8
 	}
 	if r.Fidelity == "" {
-		r.Fidelity = FidelityExact
+		r.Fidelity = experiments.FidelityExact
 	}
 	return r
 }
@@ -124,13 +112,13 @@ func (r SweepRequest) validate() error {
 		return fmt.Errorf("%w: level %d out of range [1,%d]", ErrBadRequest, r.Level, MaxLevel)
 	}
 	switch r.Fidelity {
-	case FidelityExact:
-	case FidelityScreening:
+	case experiments.FidelityExact:
+	case experiments.FidelityScreening:
 		if !experiments.SupportsScreening(r.Experiment) {
 			return fmt.Errorf("%w: experiment %q has no screening mode (screening ids: %s)",
 				ErrBadRequest, r.Experiment, strings.Join(experiments.ScreeningIDs(), ", "))
 		}
-	case FidelitySampled:
+	case experiments.FidelitySampled:
 		if !experiments.SupportsSampled(r.Experiment) {
 			return fmt.Errorf("%w: experiment %q has no sampled mode (sampled ids: %s)",
 				ErrBadRequest, r.Experiment, strings.Join(experiments.SampledIDs(), ", "))

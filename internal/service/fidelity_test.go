@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // TestSweepFidelityCachesIndependently pins the screening contract: the
@@ -38,7 +40,7 @@ func TestSweepFidelityCachesIndependently(t *testing.T) {
 	if err := json.Unmarshal(bodyScr, &sr); err != nil {
 		t.Fatal(err)
 	}
-	if sr.Fidelity != FidelityScreening || sr.Output != "fidelity=screening" {
+	if sr.Fidelity != experiments.FidelityScreening || sr.Output != "fidelity=screening" {
 		t.Fatalf("screening response %+v", sr)
 	}
 
@@ -88,7 +90,7 @@ func TestSweepScreeningEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
-	if sr.Fidelity != FidelityScreening {
+	if sr.Fidelity != experiments.FidelityScreening {
 		t.Errorf("fidelity %q, want screening", sr.Fidelity)
 	}
 	if !strings.Contains(sr.Output, "one-pass screening") {
@@ -109,7 +111,7 @@ func TestSweepSampledEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
-	if sr.Fidelity != FidelitySampled {
+	if sr.Fidelity != experiments.FidelitySampled {
 		t.Errorf("fidelity %q, want sampled", sr.Fidelity)
 	}
 	for _, want := range []string{"CPI (95% CI)", "±", "intervals"} {
@@ -155,20 +157,20 @@ func TestExperimentsListMarksFidelities(t *testing.T) {
 		return false
 	}
 	for _, id := range []string{"fig2", "fig6", "fastsweep", "table1"} {
-		if !has(id, FidelityExact) {
+		if !has(id, experiments.FidelityExact) {
 			t.Errorf("%s missing exact fidelity: %v", id, byID[id])
 		}
 	}
-	if !has("fastsweep", FidelityScreening) || !has("fig6", FidelityScreening) {
+	if !has("fastsweep", experiments.FidelityScreening) || !has("fig6", experiments.FidelityScreening) {
 		t.Error("fastsweep/fig6 not marked screening-capable")
 	}
-	if !has("fig2", FidelitySampled) || !has("fig6", FidelitySampled) {
+	if !has("fig2", experiments.FidelitySampled) || !has("fig6", experiments.FidelitySampled) {
 		t.Error("fig2/fig6 not marked sampled-capable")
 	}
-	if has("fig2", FidelityScreening) {
+	if has("fig2", experiments.FidelityScreening) {
 		t.Error("fig2 wrongly marked screening-capable")
 	}
-	if has("fig3", FidelitySampled) {
+	if has("fig3", experiments.FidelitySampled) {
 		t.Error("fig3 wrongly marked sampled-capable")
 	}
 }

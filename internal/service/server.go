@@ -443,7 +443,7 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	case http.StatusServiceUnavailable:
 		w.Header().Set("Retry-After", "2")
 	}
-	writeJSON(w, status, struct {
+	WriteJSON(w, status, struct {
 		Error string `json:"error"`
 	}{err.Error()})
 }
@@ -458,7 +458,9 @@ func decode(w http.ResponseWriter, r *http.Request, into any) error {
 	return nil
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the indented JSON body of a status response,
+// the one response encoding of the daemon and the coordinator.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	data, err := json.MarshalIndent(v, "", "  ")
@@ -493,11 +495,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	case body.Store.Mode == "degraded":
 		body.Status = "degraded"
 	}
-	writeJSON(w, status, body)
+	WriteJSON(w, status, body)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Metrics())
+	WriteJSON(w, http.StatusOK, s.Metrics())
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
@@ -513,16 +515,16 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	reg := experiments.Registry()
 	list := make([]entry, 0, len(reg))
 	for _, e := range reg {
-		fids := []string{FidelityExact}
+		fids := []string{experiments.FidelityExact}
 		if experiments.SupportsScreening(e.ID) {
-			fids = append(fids, FidelityScreening)
+			fids = append(fids, experiments.FidelityScreening)
 		}
 		if experiments.SupportsSampled(e.ID) {
-			fids = append(fids, FidelitySampled)
+			fids = append(fids, experiments.FidelitySampled)
 		}
 		list = append(list, entry{e.ID, e.Title, fids})
 	}
-	writeJSON(w, http.StatusOK, list)
+	WriteJSON(w, http.StatusOK, list)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {

@@ -3,6 +3,8 @@ package service
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // TestWorkerIdentityHeader: a daemon started in worker mode stamps
@@ -46,7 +48,7 @@ func TestExportedKeysMatchServedKeys(t *testing.T) {
 	}
 	// Normalization before hashing: the implicit and explicit spellings
 	// of the defaults are one key.
-	explicit, err := SweepKey(SweepRequest{Experiment: "fig5", Scale: 1, Level: 8, Fidelity: FidelityExact})
+	explicit, err := SweepKey(SweepRequest{Experiment: "fig5", Scale: 1, Level: 8, Fidelity: experiments.FidelityExact})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,27 +1,21 @@
 package trace
 
-// SkipScanner is implemented by streams that can discard a run of
-// upcoming events without materializing them, while still honoring the
-// one boundary a scheduler cares about: syscalls. SkipScan consumes up
-// to max events and stops early — after consuming the syscall event
-// itself — when an event carries the syscall flag, so a fast-forwarding
-// scheduler preserves the exact context-switch points of a full replay.
+// SkipScan discards up to max upcoming events without materializing
+// them, while still honoring the one boundary a scheduler cares about:
+// it stops early, after consuming the syscall event itself, when an
+// event carries the syscall flag, so a fast-forwarding scheduler keeps
+// the exact context-switch points of a full replay. It returns the
+// number of events consumed and whether the last one was a syscall;
+// n == 0 with max > 0 means the cursor is exhausted. Events buffered
+// but not yet consumed by a prior Batch are consumed first.
 //
-// It returns the number of events consumed and whether the last one was
-// a syscall. n == 0 with max > 0 means the stream is exhausted.
-// SkipScan composes with Batch/Skip: buffered-but-unconsumed events
-// from a prior Batch are consumed first.
-type SkipScanner interface {
-	SkipScan(max int) (n int, syscall bool)
-}
-
-// SkipScan implements SkipScanner using the recording's skip index:
-// the syscall event list bounds how far the scan may run, whole
-// skipIndexBlock strides are jumped via the per-block word offsets,
-// and only the sub-block residue is walked word by word (tag-length
-// arithmetic, no decode). Fast-forwarding a span therefore costs
-// O(log syscalls) plus at most one block of word hops, which is what
-// makes the skip phase of sampled simulation nearly free.
+// The recording's skip index makes it cheap: the syscall event list
+// bounds how far the scan may run, whole skipIndexBlock strides are
+// jumped via the per-block word offsets, and only the sub-block residue
+// is walked word by word (tag-length arithmetic, no decode).
+// Fast-forwarding a span therefore costs O(log syscalls) plus at most
+// one block of word hops, which is what makes the skip phase of sampled
+// simulation nearly free.
 func (c *Cursor) SkipScan(max int) (int, bool) {
 	n := 0
 	for c.pos < len(c.buf) && n < max {
@@ -80,18 +74,4 @@ func (r *Recorded) nextSyscall(from int) int {
 		return -1
 	}
 	return s[lo]
-}
-
-// SkipScan implements SkipScanner for in-memory traces.
-func (t *MemTrace) SkipScan(max int) (int, bool) {
-	n := 0
-	for n < max && t.pos < len(t.events) {
-		sys := t.events[t.pos].Syscall
-		t.pos++
-		n++
-		if sys {
-			return n, true
-		}
-	}
-	return n, false
 }

@@ -126,31 +126,22 @@ func TestSkipScanSyscallStops(t *testing.T) {
 		{PC: 0x100c, Syscall: true},
 		{PC: 0x1010},
 	}
-	impls := []struct {
-		name string
-		s    SkipScanner
-	}{
-		{"cursor", Pack(NewMemTrace(evs)).NewCursor()},
-		{"memtrace", NewMemTrace(evs)},
+	s := Pack(NewMemTrace(evs)).NewCursor()
+	n, sys := s.SkipScan(100)
+	if n != 2 || !sys {
+		t.Fatalf("first SkipScan = (%d, %v), want (2, true)", n, sys)
 	}
-	for _, tc := range impls {
-		name, s := tc.name, tc.s
-		n, sys := s.SkipScan(100)
-		if n != 2 || !sys {
-			t.Fatalf("%s: first SkipScan = (%d, %v), want (2, true)", name, n, sys)
-		}
-		n, sys = s.SkipScan(100)
-		if n != 2 || !sys {
-			t.Fatalf("%s: second SkipScan = (%d, %v), want (2, true)", name, n, sys)
-		}
-		n, sys = s.SkipScan(100)
-		if n != 1 || sys {
-			t.Fatalf("%s: third SkipScan = (%d, %v), want (1, false)", name, n, sys)
-		}
-		n, sys = s.SkipScan(100)
-		if n != 0 || sys {
-			t.Fatalf("%s: exhausted SkipScan = (%d, %v), want (0, false)", name, n, sys)
-		}
+	n, sys = s.SkipScan(100)
+	if n != 2 || !sys {
+		t.Fatalf("second SkipScan = (%d, %v), want (2, true)", n, sys)
+	}
+	n, sys = s.SkipScan(100)
+	if n != 1 || sys {
+		t.Fatalf("third SkipScan = (%d, %v), want (1, false)", n, sys)
+	}
+	n, sys = s.SkipScan(100)
+	if n != 0 || sys {
+		t.Fatalf("exhausted SkipScan = (%d, %v), want (0, false)", n, sys)
 	}
 }
 
