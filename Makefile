@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench lint fmtcheck verify fuzz chaos sweep serve load sample-validate cluster cluster-smoke
+.PHONY: all build test bench bench-ab lint fmtcheck verify fuzz chaos sweep serve load sample-validate cluster cluster-smoke
 
 all: build
 
@@ -23,6 +23,33 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchmem . | $(GO) run ./cmd/benchjson \
 		-sha "$$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
 		-o BENCH_$$(date +%Y-%m-%d).json
+
+# bench-ab: a same-host A/B of the repository benchmark, the base commit
+# against the working tree. BASE is exported (git archive) into a
+# temporary directory; perfbench's WORKLOAD then runs N times in each
+# tree, pair i at seed i, alternating the sides and which side goes
+# first, and benchjson -ab prints each end-to-end metric's median,
+# quartiles and range per side (it fails if any run's result is
+# incorrect). The temporary tree goes under $TMPDIR and is removed at
+# exit. For example:
+#   make bench-ab BASE=HEAD~1 WORKLOAD=engines N=10
+BASE ?= HEAD
+WORKLOAD ?= engines
+N ?= 10
+bench-ab:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; head=$$(pwd); \
+	mkdir "$$tmp/base"; git archive "$(BASE)" | tar -x -C "$$tmp/base"; \
+	for i in $$(seq 1 $(N)); do \
+		order="base head"; [ $$((i % 2)) = 1 ] || order="head base"; \
+		for side in $$order; do \
+			dir="$$head"; [ $$side = head ] || dir="$$tmp/base"; \
+			echo "bench-ab: pair $$i of $(N), $$side, $(WORKLOAD) seed $$i" >&2; \
+			(cd "$$dir" && bash perfbench/run.sh --workload $(WORKLOAD) --seed $$i --trace 0 \
+				--out "$$tmp/results-$$side") > "$$tmp/out"; \
+			tail -n 1 "$$tmp/out" >> "$$tmp/$$side.jsonl"; \
+		done; \
+	done; \
+	$(GO) run ./cmd/benchjson -ab "$$tmp/base.jsonl" "$$tmp/head.jsonl"
 
 # lint: the repo-specific cachelint suite (internal/lint): nopanic,
 # errwrap, determinism, exhaustive, statscoverage. Non-zero exit on any

@@ -17,6 +17,17 @@
 //
 // prints the per-benchmark ns/op deltas and exits nonzero when any
 // benchmark slowed down by more than -threshold percent (default 20).
+//
+// With -ab it summarizes a same-host A/B of the repository benchmark
+// (`make bench-ab` runs one):
+//
+//	benchjson -ab base.jsonl head.jsonl
+//
+// reads one perfbench result line per run on each side, line i of both
+// files being pair i, and prints every end-to-end metric's median,
+// quartiles and range per side, the change of the median, and how many
+// pairs read lower on the head side. It exits nonzero when any run
+// reported an incorrect result.
 package main
 
 import (
@@ -60,7 +71,15 @@ func run() error {
 	sha := flag.String("sha", "", "record this git commit in the log's git_sha field")
 	compare := flag.Bool("compare", false, "compare two logs: benchjson -compare old.json new.json")
 	threshold := flag.Float64("threshold", 20, "with -compare, fail when ns/op regresses by more than this percent")
+	ab := flag.Bool("ab", false, "summarize an A/B of perfbench result lines: benchjson -ab base.jsonl head.jsonl")
 	flag.Parse()
+
+	if *ab {
+		if *compare || flag.NArg() != 2 {
+			return fmt.Errorf("-ab wants exactly two files of perfbench result lines and no -compare (got %d files)", flag.NArg())
+		}
+		return compareRuns(flag.Arg(0), flag.Arg(1), os.Stdout)
+	}
 
 	if *compare {
 		if flag.NArg() != 2 {

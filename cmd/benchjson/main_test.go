@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -132,5 +133,68 @@ func TestParseIgnoresMalformed(t *testing.T) {
 	}
 	if len(log.Benchmarks) != 0 {
 		t.Fatalf("parsed %v from malformed input", log.Benchmarks)
+	}
+}
+
+// writeRuns writes perfbench result lines to a temp file for -ab tests.
+func writeRuns(t *testing.T, name string, lines ...string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func perfLine(correct bool, setup, rate float64) string {
+	return fmt.Sprintf(`{"correct":%t,"attempted":3,"failed":0,"metrics":{"setup_s":{"value":%g,"unit":"s"},"rate_per_s":{"value":%g,"unit":"1/s"}}}`,
+		correct, setup, rate)
+}
+
+func TestCompareRunsSummarizesPairs(t *testing.T) {
+	base := writeRuns(t, "base.jsonl", perfLine(true, 2.0, 100), perfLine(true, 3.0, 110), perfLine(true, 2.5, 90), perfLine(true, 2.2, 95))
+	head := writeRuns(t, "head.jsonl", perfLine(true, 1.5, 100), perfLine(true, 1.6, 100), perfLine(true, 2.6, 91), perfLine(true, 1.4, 96))
+	var out strings.Builder
+	if err := compareRuns(base, head, &out); err != nil {
+		t.Fatalf("compareRuns: %v\n%s", err, out.String())
+	}
+	// setup_s: base sorted 2.0 2.2 2.5 3.0 (median 2.35, q1 2.15, q3 2.625),
+	// head sorted 1.4 1.5 1.6 2.6 (median 1.55); head lower in 3 of 4 pairs.
+	rows := map[string]string{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			rows[f[0]] = strings.Join(f, " ")
+		}
+	}
+	for name, want := range map[string]string{
+		"setup_s":    "setup_s s 2.35 [2.15-2.625] (2-3) 1.55 [1.475-1.85] (1.4-2.6) -34.0% 3/4",
+		"rate_per_s": "rate_per_s 1/s 97.5 [93.75-102.5] (90-110) 98 [94.75-100] (91-100) +0.5% 1/4",
+		"4":          "4 pairs; each side: median [q1-q3] (min-max)",
+		"every":      "every run correct",
+	} {
+		if rows[name] != want {
+			t.Errorf("row %q = %q, want %q\n%s", name, rows[name], want, out.String())
+		}
+	}
+}
+
+func TestCompareRunsFailsOnIncorrectRun(t *testing.T) {
+	base := writeRuns(t, "base.jsonl", perfLine(true, 2, 100))
+	head := writeRuns(t, "head.jsonl", perfLine(false, 1, 100))
+	err := compareRuns(base, head, &strings.Builder{})
+	if err == nil || !strings.Contains(err.Error(), "1 of 2 runs") {
+		t.Fatalf("incorrect head run not reported: %v", err)
+	}
+}
+
+func TestCompareRunsBadInput(t *testing.T) {
+	good := writeRuns(t, "good.jsonl", perfLine(true, 2, 100))
+	notJSON := writeRuns(t, "bad.jsonl", "host: {}")
+	if err := compareRuns(good, notJSON, &strings.Builder{}); err == nil || !strings.Contains(err.Error(), "bad.jsonl:1") {
+		t.Errorf("non-result line not reported with its position: %v", err)
+	}
+	empty := writeRuns(t, "empty.jsonl")
+	if err := compareRuns(good, empty, &strings.Builder{}); err == nil {
+		t.Error("a side with no runs not reported")
 	}
 }

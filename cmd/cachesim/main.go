@@ -82,11 +82,15 @@ func run() (err error) {
 			return err
 		}
 		defer f.Close()
-		mt, err := trace.ReadAll(f)
+		tr, err := trace.NewReader(f)
 		if err != nil {
 			return err
 		}
-		procs = []sched.Process{{Name: *traceFile, Stream: mt}}
+		tape := trace.Pack(tr)
+		if err := trace.StreamErr(tr); err != nil {
+			return err
+		}
+		procs = []sched.Process{{Name: *traceFile, Stream: tape.NewCursor()}}
 	} else {
 		procs = workload.Processes(*scale)
 	}

@@ -7,7 +7,8 @@ import (
 )
 
 // GoroutineLife requires every `go` statement in the concurrent serving
-// packages to be tied to a shutdown mechanism the spawner can observe:
+// packages (and trace.Pack's pipeline) to be tied to a shutdown
+// mechanism the spawner can observe:
 //
 //   - a sync.WaitGroup Done (the worker-pool pattern: Add before
 //     spawning, Done in the body, Wait at drain);
@@ -36,6 +37,7 @@ var GoroutineLife = &Analyzer{
 		"repro/internal/faultinject",
 		"repro/internal/experiments",
 		"repro/internal/fabric",
+		"repro/internal/trace",
 	),
 	Run: runGoroutineLife,
 }

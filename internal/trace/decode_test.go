@@ -129,8 +129,8 @@ func TestRawAdvanceResumesCursor(t *testing.T) {
 // the per-event cost.
 func BenchmarkCursorBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	var r Recorded
-	for i := 0; i < 1_000_000; i++ {
+	events := make([]Event, 1_000_000)
+	for i := range events {
 		ev := Event{PC: 0x400000 + 4*uint32(i%50_000)}
 		switch rng.Intn(10) {
 		case 0, 1, 2:
@@ -140,8 +140,9 @@ func BenchmarkCursorBatch(b *testing.B) {
 		case 4:
 			ev.Stall = 2
 		}
-		r.Append(&ev)
+		events[i] = ev
 	}
+	r := Pack(NewMemTrace(events))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := r.NewCursor()

@@ -1,5 +1,7 @@
 package trace
 
+import "sync"
+
 // Recorded is an immutable, compactly packed recording of a finite
 // event stream — the in-memory equivalent of a pixie trace tape that
 // many cache configurations replay concurrently. It exists for the
@@ -23,15 +25,14 @@ package trace
 // shorten the common cases (a plain instruction is 4 bytes instead of
 // 12).
 //
-// A Recorded is append-only while packing and immutable afterwards:
-// any number of Cursors may replay it concurrently.
+// Pack builds a Recorded, which never changes after Pack returns: any
+// number of Cursors may replay it concurrently.
 type Recorded struct {
 	words []uint32
 	n     int
 	// blockWord[i] is the offset in words of event i*skipIndexBlock,
 	// and sysEv lists the event indices whose Syscall flag is set, in
-	// ascending order. Both are maintained by Append (appending is the
-	// only mutation a Recorded ever sees), and together they let
+	// ascending order. Pack builds both, and together they let
 	// SkipScan jump a fast-forward span in O(log syscalls) with at
 	// most skipIndexBlock words walked, instead of touching every
 	// event's words.
@@ -64,13 +65,57 @@ const (
 )
 
 // Pack drains s into a new packed recording.
+//
+// Making the events and encoding them run side by side, as the paper's
+// tracer fed its simulator through a pipe: a producer goroutine fills
+// event batches from s.Next while the calling goroutine encodes the
+// batches it has been handed into fixed-size word chunks drawn from a
+// pool. When s is drained the chunks are copied into one allocation of
+// exactly the recording's size and go back to the pool for the next
+// Pack. The result is the same, word for word, as encoding the events
+// one at a time onto a growing slice.
+//
+// Only the producer touches s until it is drained, and Pack returns
+// after the producer has finished, so StreamErr(s) after Pack sees the
+// stream's final state. A panic raised by s is re-raised on the calling
+// goroutine.
 func Pack(s Stream) *Recorded {
-	r := &Recorded{}
-	var ev Event
-	for s.Next(&ev) {
-		r.add(&ev)
+	bs := new([packBuffers][packBatch]Event)
+	// Each buffer of bs is always in exactly one place: free, full, or
+	// the hands of one stage. Both channels hold every buffer at once,
+	// so no send blocks.
+	free := make(chan []Event, len(bs))
+	full := make(chan []Event, len(bs))
+	for i := range bs {
+		free <- bs[i][:]
 	}
-	r.pad()
+	// Closing free ends the producer's range should encoding stop early.
+	defer close(free)
+	var raised any
+	go func() {
+		defer close(full)
+		defer func() { raised = recover() }()
+		for buf := range free {
+			n := 0
+			for n < len(buf) && s.Next(&buf[n]) {
+				n++
+			}
+			full <- buf[:n]
+			if n < len(buf) {
+				return
+			}
+		}
+	}()
+	var p packer
+	for evs := range full {
+		p.encode(evs)
+		free <- evs[:cap(evs)]
+	}
+	r := p.finish()
+	if raised != nil {
+		//lint:allow nopanic re-raises the stream's own panic on the caller's goroutine, where the caller's recover (the sweep and serving harnesses) can see it; Pack adds no panic of its own
+		panic(raised)
+	}
 	return r
 }
 
@@ -81,41 +126,91 @@ func Pack(s Stream) *Recorded {
 // the last events.
 const padWords = 3
 
-// Append adds one event to the end of the recording.
-func (r *Recorded) Append(ev *Event) {
-	r.words = r.words[:r.end()]
-	r.add(ev)
-	r.pad()
+// Pipeline sizing for Pack: the producer runs at most packBuffers
+// batches of packBatch events ahead of the encoder, and the encoder
+// writes chunks of packChunkWords words (1 MB).
+const (
+	packBatch      = 4096
+	packBuffers    = 4
+	packChunkWords = 1 << 18
+)
+
+// chunkPool lets consecutive Packs (a workload records one member after
+// another) reuse word chunks instead of allocating them per recording.
+var chunkPool = sync.Pool{New: func() any { c := make([]uint32, packChunkWords); return &c }}
+
+// packer is Pack's encoding stage: it packs events into a list of word
+// chunks, none of which an event straddles, so a chunk may end with up
+// to three unused words.
+type packer struct {
+	chunks    [][]uint32 // filled chunks, each cut to its used words
+	cur       []uint32   // chunk being filled; nil before the first event
+	w         int        // used words of cur
+	base      int        // recording offset of cur[0]
+	n         int
+	blockWord []int
+	sysEv     []int
 }
 
-// pad appends the zero padding after the last event.
-func (r *Recorded) pad() { r.words = append(r.words, make([]uint32, padWords)...) }
+// encode appends evs to the recording.
+func (p *packer) encode(evs []Event) {
+	c, w, n := p.cur, p.w, p.n
+	for i := range evs {
+		ev := &evs[i]
+		if w+4 > len(c) {
+			p.seal(c, w)
+			c, w = *chunkPool.Get().(*[]uint32), 0
+		}
+		if n%skipIndexBlock == 0 {
+			p.blockWord = append(p.blockWord, p.base+w)
+		}
+		meta := uint32(ev.Kind)<<MetaKindShift |
+			uint32(ev.Size)<<MetaSizeShift |
+			uint32(ev.Stall)<<MetaStallShift
+		if ev.Syscall {
+			meta |= MetaSyscallBit
+			p.sysEv = append(p.sysEv, n)
+		}
+		ws := c[w : w+4]
+		switch {
+		case ev.PC&3 != 0:
+			ws[0], ws[1], ws[2], ws[3] = TagRaw, meta, ev.Data, ev.PC
+			w += 4
+		case meta == 0 && ev.Data == 0:
+			ws[0] = ev.PC | TagPlain
+			w++
+		case ev.Data == 0:
+			ws[0], ws[1] = ev.PC|TagMeta, meta
+			w += 2
+		default:
+			ws[0], ws[1], ws[2] = ev.PC|TagData, meta, ev.Data
+			w += 3
+		}
+		n++
+	}
+	p.cur, p.w, p.n = c, w, n
+}
 
-// add encodes one event after the last one, with the padding removed.
-func (r *Recorded) add(ev *Event) {
-	if r.n%skipIndexBlock == 0 {
-		r.blockWord = append(r.blockWord, len(r.words))
+// seal files chunk c, of which w words are used, behind the earlier ones.
+func (p *packer) seal(c []uint32, w int) {
+	if c != nil {
+		p.chunks = append(p.chunks, c[:w])
+		p.base += w
 	}
-	if ev.Syscall {
-		r.sysEv = append(r.sysEv, r.n)
+}
+
+// finish copies the chunks into the recording's one allocation, with
+// the zero padding after the last event, and returns them to the pool.
+func (p *packer) finish() *Recorded {
+	p.seal(p.cur, p.w)
+	words := make([]uint32, p.base+padWords)
+	off := 0
+	for _, c := range p.chunks {
+		off += copy(words[off:], c)
+		c = c[:cap(c)]
+		chunkPool.Put(&c)
 	}
-	meta := uint32(ev.Kind)<<MetaKindShift |
-		uint32(ev.Size)<<MetaSizeShift |
-		uint32(ev.Stall)<<MetaStallShift
-	if ev.Syscall {
-		meta |= MetaSyscallBit
-	}
-	switch {
-	case ev.PC&3 != 0:
-		r.words = append(r.words, TagRaw, meta, ev.Data, ev.PC)
-	case meta == 0 && ev.Data == 0:
-		r.words = append(r.words, ev.PC|TagPlain)
-	case ev.Data == 0:
-		r.words = append(r.words, ev.PC|TagMeta, meta)
-	default:
-		r.words = append(r.words, ev.PC|TagData, meta, ev.Data)
-	}
-	r.n++
+	return &Recorded{words: words, n: p.n, blockWord: p.blockWord, sysEv: p.sysEv}
 }
 
 // end returns the index one past the last event's final word: the

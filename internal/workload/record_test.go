@@ -1,8 +1,13 @@
 package workload
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/progs"
+	"repro/internal/trace"
 )
 
 // TestRecordConcurrent hammers Record from many goroutines; under
@@ -55,4 +60,64 @@ func TestRecordConcurrent(t *testing.T) {
 			t.Errorf("replayer %d saw %d events, want %d", i, n, rec[0].Trace.Len())
 		}
 	}
+}
+
+// TestRecordFailureReachesEveryCaller records a suite whose second
+// member stops partway: an emulated benchmark that hits its step limit.
+// The memo entry keeps the failure, so every call panics with an error
+// naming the member and wrapping the stream's error, instead of the
+// first caller getting a truncated recording and later callers nil.
+func TestRecordFailureReachesEveryCaller(t *testing.T) {
+	bench := progs.All()[0]
+	members := func() []Member {
+		return []Member{
+			{Name: "whole", NewStream: func(int) trace.Stream {
+				return trace.NewMemTrace(make([]trace.Event, 10))
+			}},
+			{Name: "cut-short", NewStream: func(scale int) trace.Stream {
+				cpu := bench.NewCPU(scale)
+				cpu.MaxSteps = 5_000
+				return cpu
+			}},
+		}
+	}
+	var e recordEntry
+	for call := 0; call < 2; call++ {
+		err := getFailure(&e, members)
+		if err == nil || !strings.Contains(err.Error(), "recording cut-short") || !strings.Contains(err.Error(), "step limit") {
+			t.Fatalf("call %d: failure %v, want one naming member cut-short and its step limit", call, err)
+		}
+	}
+}
+
+// TestRecordPanicReachesEveryCaller: a member whose stream panics fails
+// the recording the same way, for every caller.
+func TestRecordPanicReachesEveryCaller(t *testing.T) {
+	members := func() []Member {
+		return []Member{{Name: "panicky", NewStream: func(int) trace.Stream { return panicStream{} }}}
+	}
+	var e recordEntry
+	for call := 0; call < 2; call++ {
+		err := getFailure(&e, members)
+		if err == nil || !strings.Contains(err.Error(), "recording panicky: panic: tape snapped") {
+			t.Fatalf("call %d: failure %v, want one naming member panicky and its panic", call, err)
+		}
+	}
+}
+
+type panicStream struct{}
+
+func (panicStream) Next(*trace.Event) bool { panic("tape snapped") }
+
+// getFailure calls e.get and returns the error it panicked with.
+func getFailure(e *recordEntry, members func() []Member) (err error) {
+	defer func() {
+		r := recover()
+		err, _ = r.(error)
+		if r != nil && err == nil {
+			err = fmt.Errorf("panicked with a non-error: %v", r)
+		}
+	}()
+	e.get(members, 1)
+	return nil
 }

@@ -140,58 +140,97 @@ type Recorded struct {
 	Trace *trace.Recorded
 }
 
-// recordEntry memoizes one scale's recording. The once gate means
-// concurrent first callers of Record for the same scale share a single
-// recording pass (and later callers pay only the map lookup), while
-// different scales record independently without serializing on a
-// global lock.
+// recordKey names one memoized recording: the kernel suite at a scale,
+// or the PaperLike workload of n processes of perProc instructions.
+type recordKey struct {
+	paperLike bool
+	n         int // the suite's scale, or PaperLike's process count
+	perProc   uint64
+}
+
+// recordEntry memoizes one recording. The once gate means concurrent
+// first callers of the same key share a single recording pass (and
+// later callers pay only the map lookup), while different keys record
+// independently without serializing on a global lock. A recording that
+// failed keeps its error, so every caller sees the failure, not just
+// the first.
 type recordEntry struct {
 	once sync.Once
 	rs   []Recorded
+	err  error
 }
 
 var (
 	recordMu    sync.Mutex // guards the map only, never held while recording
-	recordCache = map[int]*recordEntry{}
+	recordCache = map[recordKey]*recordEntry{}
 )
+
+// recorded returns the memoized recording of key, making it from
+// members on first use. A member whose stream fails or panics fails the
+// whole recording, and recorded raises that failure, naming the member,
+// as a panic on every call: the callers (experiment runs, service
+// computations) have no error path, and the sweep and serving harnesses
+// turn the panic into a structured failure, as with the experiments
+// package's must.
+func recorded(key recordKey, members func() []Member, scale int) []Recorded {
+	recordMu.Lock()
+	e, ok := recordCache[key]
+	if !ok {
+		e = &recordEntry{}
+		recordCache[key] = e
+	}
+	recordMu.Unlock()
+	return e.get(members, scale)
+}
+
+// get records members once and returns the result, or panics with the
+// recording's error.
+func (e *recordEntry) get(members func() []Member, scale int) []Recorded {
+	e.once.Do(func() { e.rs, e.err = recordMembers(members(), scale) })
+	if e.err != nil {
+		panic(e.err)
+	}
+	return e.rs
+}
+
+// recordMembers packs every member's stream at scale, in order.
+func recordMembers(members []Member, scale int) ([]Recorded, error) {
+	rs := make([]Recorded, len(members))
+	for i, m := range members {
+		tr, err := packMember(m, scale)
+		if err != nil {
+			return nil, fmt.Errorf("workload: recording %s: %w", m.Name, err)
+		}
+		rs[i] = Recorded{Name: m.Name, Class: m.Class, Trace: tr}
+	}
+	return rs, nil
+}
+
+// packMember packs one member's stream, failing if the stream stopped
+// on an error (an emulated benchmark that faulted or hit its step
+// limit) or panicked, rather than returning a truncated recording.
+func packMember(m Member, scale int) (tr *trace.Recorded, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	s := m.NewStream(scale)
+	tr = trace.Pack(s)
+	return tr, trace.StreamErr(s)
+}
 
 // Record captures every member's full trace at the given scale. Results
 // are memoized per scale and safe for concurrent callers: the returned
 // slice and its traces are shared and immutable, so callers must only
-// replay via cursors (which ReplayProcesses does).
+// replay via cursors (which ReplayProcesses does). If a member fails to
+// record, every call panics (see recorded).
 func Record(scale int) []Recorded {
 	if scale < 1 {
 		scale = 1
 	}
-	recordMu.Lock()
-	e, ok := recordCache[scale]
-	if !ok {
-		e = &recordEntry{}
-		recordCache[scale] = e
-	}
-	recordMu.Unlock()
-	e.once.Do(func() {
-		members := Members()
-		rs := make([]Recorded, len(members))
-		for i, m := range members {
-			rs[i] = Recorded{Name: m.Name, Class: m.Class, Trace: trace.Pack(m.NewStream(scale))}
-		}
-		e.rs = rs
-	})
-	return e.rs
+	return recorded(recordKey{n: scale}, Members, scale)
 }
-
-// paperKey identifies one PaperLike recording: the process count and
-// the per-process instruction budget.
-type paperKey struct {
-	n       int
-	perProc uint64
-}
-
-var (
-	paperMu    sync.Mutex // guards the map only, never held while recording
-	paperCache = map[paperKey]*recordEntry{}
-)
 
 // RecordPaperLike captures the paper-calibrated synthetic workload
 // (see PaperLike) in packed form, memoized per (n, perProc) with the
@@ -203,23 +242,15 @@ func RecordPaperLike(n int, perProc uint64) []Recorded {
 	if n < 1 {
 		n = 1
 	}
-	key := paperKey{n, perProc}
-	paperMu.Lock()
-	e, ok := paperCache[key]
-	if !ok {
-		e = &recordEntry{}
-		paperCache[key] = e
-	}
-	paperMu.Unlock()
-	e.once.Do(func() {
+	members := func() []Member {
 		procs := PaperLike(n, perProc)
-		rs := make([]Recorded, len(procs))
+		ms := make([]Member, len(procs))
 		for i, p := range procs {
-			rs[i] = Recorded{Name: p.Name, Trace: trace.Pack(p.Stream)}
+			ms[i] = Member{Name: p.Name, NewStream: func(int) trace.Stream { return p.Stream }}
 		}
-		e.rs = rs
-	})
-	return e.rs
+		return ms
+	}
+	return recorded(recordKey{paperLike: true, n: n, perProc: perProc}, members, 1)
 }
 
 // ReplayProcesses returns scheduler processes that replay recorded
